@@ -41,7 +41,7 @@ import numpy as np
 
 from .adaptive import DEFAULT_SPACE, HyperRange, random_search_tune
 from .exceptions import ConfigError, NumericalDegeneracyError
-from .learners import REGISTRY, build_learner
+from .learners import INFLATED_METHODS, REGISTRY, build_learner
 from .models import CategoricalFamily, GaussianFamily, MlpModel, MlpSpec
 from .streams import (
     METRICS,
@@ -172,8 +172,18 @@ def validate_config(cfg):
         problems.append("experiment.metrics: rmse is a regression metric")
     if family == "gaussian" and "misclass" in cfg.metrics:
         problems.append("experiment.metrics: misclass is a classification metric")
-    if "nlpd" in cfg.metrics and cfg.method in ("sgd_rb", "ogd"):
-        problems.append("experiment.metrics: nlpd needs a method with a posterior")
+    if "nlpd" in cfg.metrics and cfg.method in ("sgd_rb", "ogd", "fcekf", "iekf"):
+        problems.append(
+            "experiment.metrics: nlpd needs a low-rank or diagonal posterior to sample; "
+            f"{cfg.method} has none"
+        )
+    if cfg.method in REGISTRY and cfg.method not in INFLATED_METHODS:
+        for key in ("inflation", "inflation_alpha"):
+            if key in cfg.method_params:
+                problems.append(
+                    f"method.{key}: {cfg.method} applies no inflation; "
+                    f"only {', '.join(INFLATED_METHODS)} do"
+                )
     grid = cfg.method_params.get("linesearch_grid")
     if grid is not None and grid < 1:
         problems.append("method.linesearch_grid: must be >= 1")

@@ -8,6 +8,12 @@ A learner owns its belief (or parameter vector) and exposes two calls:
   belief.
 * ``observe(x, y)`` consumes one labeled example and advances the state.
 
+A Bayesian learner computes its predicted belief once per state: the
+belief returned by ``predicted_belief()`` is cached and shared by
+``predict()``, ``observe()`` and the bandit agent's ``act()`` and
+``learn()`` until the state changes. Every state change goes through
+``_commit``, which drops the cache.
+
 The module-level ``REGISTRY`` maps method tags to factories used by the
 experiment configuration.
 """
@@ -38,13 +44,15 @@ class _BayesianLearner:
         self.cfg = cfg
         self.latent = LatentPrior(cfg.dynamics.initial_precision)
         self.t = 0
+        self._pred = None
 
     # subclasses: _inflate, _predict_belief, _update
 
     def predicted_belief(self):
-        """Inflated and drifted belief, without mutating the learner."""
-        belief = self._inflate(self.belief)
-        return self._predict_belief(belief)
+        """Inflated and drifted belief, computed once per learner state."""
+        if self._pred is None:
+            self._pred = self._predict_belief(self._inflate(self.belief))
+        return self._pred
 
     def predict(self, x):
         pred = self.predicted_belief()
@@ -54,15 +62,20 @@ class _BayesianLearner:
         """Condition on one (possibly masked) linearized observation and
         advance the learner's clock. ``pred`` must come from
         :meth:`predicted_belief` this step."""
-        self.belief = self._update(pred, lin, y)
-        dyn = self.cfg.dynamics
-        self.latent.advance(dyn.gamma, dyn.process_noise)
-        self.t += 1
+        self._commit(self._update(pred, lin, y))
 
     def observe(self, x, y):
         pred = self.predicted_belief()
         lin = linearize(self.model, x, pred.mean)
         self.apply_update(pred, lin, y)
+
+    def _commit(self, belief):
+        """Take the posterior, advance the clock, drop the cached prediction."""
+        self.belief = belief
+        self._pred = None
+        dyn = self.cfg.dynamics
+        self.latent.advance(dyn.gamma, dyn.process_noise)
+        self.t += 1
 
     def _inflation_cfg(self):
         cfg = self.cfg.inflation
@@ -148,10 +161,7 @@ class DenseFilterLearner(_BayesianLearner):
             super().observe(x, y)
             return
         pred = self.predicted_belief()
-        self.belief = baselines.iterated_ekf_update(pred, self.model, x, y, self.iterated)
-        dyn = self.cfg.dynamics
-        self.latent.advance(dyn.gamma, dyn.process_noise)
-        self.t += 1
+        self._commit(baselines.iterated_ekf_update(pred, self.model, x, y, self.iterated))
 
 
 class IteratedSphericalLearner(_BayesianLearner):
@@ -170,12 +180,9 @@ class IteratedSphericalLearner(_BayesianLearner):
 
     def observe(self, x, y):
         pred = self.predicted_belief()
-        self.belief = baselines.iterated_lowrank_update(
+        self._commit(baselines.iterated_lowrank_update(
             pred, self.model, x, y, self.iterated, rank=self.cfg.rank
-        )
-        dyn = self.cfg.dynamics
-        self.latent.advance(dyn.gamma, dyn.process_noise)
-        self.t += 1
+        ))
 
 
 class DiagonalEkfLearner:
@@ -294,6 +301,9 @@ REGISTRY = {
         inner_iters=params.get("inner_iters", 1),
     ),
 }
+
+# methods whose learner applies the ``inflation`` and ``inflation_alpha`` keys
+INFLATED_METHODS = ("lrekf", "lrekf_spherical")
 
 
 def build_learner(tag, model, params, seed):

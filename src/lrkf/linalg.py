@@ -18,11 +18,11 @@ RANK_EPS = 1e-12
 def fix_column_signs(u):
     """Flip column signs so the first nonzero entry of each column is > 0."""
     u = np.array(u, copy=True)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.flatnonzero(col)
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
+    if u.size == 0:
+        return u
+    first = np.argmax(u != 0, axis=0)  # row 0 for an all-zero column
+    lead = u[first, np.arange(u.shape[1])]
+    u[:, lead < 0] *= -1.0
     return u
 
 
@@ -47,7 +47,14 @@ def thin_svd(w):
     Notes
     -----
     When P > K the decomposition goes through the K x K Gram matrix
-    ``w.T w`` so the cost is O(P K^2 + K^3) rather than O(P^2 K).
+    ``w.T w`` so the cost is O(P K^2 + K^3) rather than O(P^2 K). With
+    ``w.T w = V diag(s^2) V^T``, U is formed by one matrix product
+    ``w @ F``, ``F = V[:, live] / s[live]``. The sign rule is folded into
+    the K x K factor F: a column of F is negated when the matching entry
+    of row 0 of U, ``w[0] @ F``, is negative. Only when some live column
+    still has ``u[0, j] <= 0`` afterwards (a zero leading entry, or a
+    rounding disagreement between the row and the full product) does U go
+    through :func:`fix_column_signs`.
     """
     w = np.asarray(w, dtype=float)
     p, k = w.shape
@@ -59,14 +66,14 @@ def thin_svd(w):
         vals = np.maximum(vals, 0.0)
         order = np.argsort(-vals, kind="stable")
         s = np.sqrt(vals[order])
-        v = vecs[:, order]
-        u = np.zeros((p, k))
-        smax = s[0] if s.size else 0.0
-        for j in range(k):
-            if smax > 0.0 and s[j] > RANK_EPS * smax:
-                u[:, j] = (w @ v[:, j]) / s[j]
-            else:
-                s[j] = 0.0
+        live = np.count_nonzero(s > RANK_EPS * s[0])  # s is sorted: a prefix
+        s[live:] = 0.0
+        factor = np.zeros((k, k))
+        factor[:, :live] = vecs[:, order[:live]] / s[:live]
+        factor[:, w[0] @ factor < 0] *= -1.0
+        u = w @ factor
+        if np.all(u[0, :live] > 0):
+            return s, u
     else:
         u, s, _ = np.linalg.svd(w, full_matrices=False)
         order = np.argsort(-s, kind="stable")

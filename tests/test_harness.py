@@ -83,6 +83,22 @@ class TestParsingAndValidation:
         cfg = parse_config(write_config(tmp_path / "c.ini", text))
         assert any("passes" in p for p in validate_config(cfg))
 
+    @pytest.mark.parametrize("tag", ["fcekf", "iekf", "sgd_rb"])
+    def test_nlpd_needs_a_sampleable_posterior(self, tag, tmp_path, capsys):
+        text = BASIC.format(out=tmp_path / "o").replace("name = lrekf", f"name = {tag}")
+        path = write_config(tmp_path / "c.ini", text.replace("rmse nll", "rmse nlpd"))
+        problems = validate_config(parse_config(path))
+        assert any("nlpd" in p and tag in p for p in problems)
+        assert main(["validate", path]) == 1
+
+    @pytest.mark.parametrize("tag", ["fcekf", "iekf", "ilrekf", "vdekf"])
+    def test_inflation_on_a_method_without_it_is_named(self, tag, tmp_path):
+        text = BASIC.format(out=tmp_path / "o").replace("name = lrekf", f"name = {tag}")
+        text = text.replace("rank = 3", "rank = 3\ninflation = simple\ninflation_alpha = 0.05")
+        problems = validate_config(parse_config(write_config(tmp_path / "c.ini", text)))
+        assert any(p.startswith("method.inflation:") and tag in p for p in problems)
+        assert any(p.startswith("method.inflation_alpha:") and tag in p for p in problems)
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.ini")

@@ -69,11 +69,10 @@ def epsilon_greedy_act(point_estimate, model, x, epsilon, seed):
 
 def masked_reward_linearization(model, x, mean, action, reward_variance):
     """Linearization of the chosen head as a scalar Gaussian observation."""
-    values = model.forward(x, mean)
-    jac = model.jacobian(x, mean)[action : action + 1, :]
+    values, jac = model.jacobian(x, mean, with_mean=True)
     cov = np.array([[reward_variance]])
     whitener = np.array([[1.0 / np.sqrt(reward_variance)]])
-    return Linearization(values[action : action + 1], jac, cov, whitener)
+    return Linearization(values[action : action + 1], jac[action : action + 1, :], cov, whitener)
 
 
 class FilterBanditAgent:
@@ -124,9 +123,8 @@ class SgdBanditAgent:
             grads = []
             for bx, ar in buf:
                 a, r = int(ar[0]), ar[1]
-                values = self.model.forward(bx, self.learner.params)
-                row = self.model.jacobian(bx, self.learner.params)[a]
-                grads.append(row * (values[a] - r) / self.reward_variance)
+                values, jac = self.model.jacobian(bx, self.learner.params, with_mean=True)
+                grads.append(jac[a] * (values[a] - r) / self.reward_variance)
             self.learner.params = self.learner.optimizer.step(
                 self.learner.params, np.mean(grads, axis=0)
             )

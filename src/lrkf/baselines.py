@@ -24,7 +24,7 @@ import scipy.linalg
 from .belief import DenseBelief, SphericalBelief
 from .exceptions import NumericalDegeneracyError
 from .linalg import chol_or_raise, symmetrize, thin_svd
-from .models import linearize
+from .models import linearize, softmax
 from .spherical import complete_basis
 
 
@@ -190,11 +190,12 @@ def nll_gradient(model, x, y, theta):
     """Gradient of the per-example negative log likelihood."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if model.family.kind == "categorical":
-        probs = model.forward(x, theta)
-        return model.logit_jacobian(x, theta).T @ (probs - y)
-    resid = y - model.forward(x, theta)
+        logits, jac = model.logit_jacobian(x, theta, with_logits=True)
+        return jac.T @ (softmax(logits) - y)
+    mean, jac = model.jacobian(x, theta, with_mean=True)
+    resid = y - mean
     lin_cov = model.family.obs_cov(resid.shape[0])
-    return -model.jacobian(x, theta).T @ np.linalg.solve(lin_cov, resid)
+    return -jac.T @ np.linalg.solve(lin_cov, resid)
 
 
 def sgd_replay_step(params, buffer, x, y, optimizer, inner_iters=1, model=None):

@@ -172,6 +172,8 @@ def validate_config(cfg):
         problems.append("experiment.metrics: rmse is a regression metric")
     if family == "gaussian" and "misclass" in cfg.metrics:
         problems.append("experiment.metrics: misclass is a classification metric")
+    if cfg.nlpd_samples < 1:
+        problems.append("experiment.nlpd_samples: must be >= 1")
     if "nlpd" in cfg.metrics and cfg.method in ("sgd_rb", "ogd", "fcekf", "iekf"):
         problems.append(
             "experiment.metrics: nlpd needs a low-rank or diagonal posterior to sample; "

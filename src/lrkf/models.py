@@ -5,10 +5,18 @@ An observation model maps an input ``x`` and a flat parameter vector
 perceptron whose Jacobian is accumulated layer by layer (no autodiff
 framework), plus a thin wrapper for handwritten test models.
 
+``theta`` may carry a leading draw axis: ``logits`` and ``forward`` map
+parameters of shape (P,) to outputs of shape (C,), and a stack of S draws
+of shape (S, P) to (S, C) in one pass, each row bit-identical to its
+single-draw result. Jacobians take a single (P,) vector. Their forward
+pass also yields the output, so a linearization costs one network pass.
+
 Likelihood families:
 
 * ``GaussianFamily(obs_variance)`` for regression. ``obs_variance`` may be
-  a scalar (isotropic) or a full C x C covariance.
+  a scalar (isotropic) or a full C x C covariance. R, its Cholesky factor
+  and the whitener are fixed, so each is built once per family and output
+  size and then shared read only.
 * ``CategoricalFamily()`` for classification. The model output passes
   through a softmax and the conditional covariance is moment matched as
   ``diag(p) - p p^T``, which has rank C - 1.
@@ -38,13 +46,40 @@ class GaussianFamily:
 
     kind = "gaussian"
 
-    def obs_cov(self, dim):
-        r = np.asarray(self.obs_variance, dtype=float)
+    def _fixed(self, name, dim, build):
+        """Read-only term ``name`` for C = dim, built on first use."""
+        cache = self.__dict__.setdefault("_fixed_terms", {})
+        value = cache.get((name, dim))
+        if value is None:
+            value = build(dim)
+            value.flags.writeable = False
+            cache[name, dim] = value
+        return value
+
+    def _build_cov(self, dim):
+        r = np.array(self.obs_variance, dtype=float)
         if r.ndim == 0:
             return float(r) * np.eye(dim)
         if r.shape != (dim, dim):
             raise ValueError(f"obs_variance shape {r.shape} does not match C={dim}")
         return r
+
+    def obs_cov(self, dim):
+        """R as a C x C matrix."""
+        return self._fixed("cov", dim, self._build_cov)
+
+    def obs_chol(self, dim):
+        """Lower Cholesky factor L of R."""
+        return self._fixed(
+            "chol", dim, lambda d: chol_or_raise(self.obs_cov(d), "observation covariance")
+        )
+
+    def obs_whitener(self, dim):
+        """L^-1, so that ``A.T @ A`` is R^-1."""
+        return self._fixed(
+            "whitener", dim,
+            lambda d: scipy.linalg.solve_triangular(self.obs_chol(d), np.eye(d), lower=True),
+        )
 
 
 @dataclass(frozen=True)
@@ -83,9 +118,24 @@ class Linearization:
 
 
 def softmax(z):
-    z = z - np.max(z)
+    """Softmax over the last axis of (C,) or (S, C) logits."""
+    z = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _link(family, logits):
+    """Observation mean from raw outputs: softmax for categorical."""
+    return softmax(logits) if family.kind == "categorical" else logits
+
+
+def _link_jacobian(family, logits, jac, with_mean):
+    """Jacobian of the observation mean from the raw output and its
+    Jacobian; ``with_mean`` returns ``(mean, jacobian)``."""
+    mean = _link(family, logits)
+    if family.kind == "categorical":
+        jac = (np.diag(mean) - np.outer(mean, mean)) @ jac
+    return (mean, jac) if with_mean else jac
 
 
 @dataclass(frozen=True)
@@ -123,20 +173,25 @@ class MlpSpec:
         return self.layer_widths[-1]
 
     def unpack(self, theta):
-        """Split a flat parameter vector into (weight, bias) pairs."""
+        """Split flat parameters into (weight, bias) pairs.
+
+        ``theta`` of shape (P,) gives weights (out, in) and biases (out,);
+        a stack (S, P) gives views of shape (S, out, in) and (S, out).
+        """
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.parameter_count,):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.parameter_count:
             raise ValueError(
                 f"theta has length {theta.shape}, expected {self.parameter_count}"
             )
+        lead = theta.shape[:-1]
         layers = []
         pos = 0
         w = self.layer_widths
         for i in range(len(w) - 1):
             n_in, n_out = w[i], w[i + 1]
-            weight = theta[pos : pos + n_in * n_out].reshape(n_out, n_in)
+            weight = theta[..., pos : pos + n_in * n_out].reshape(*lead, n_out, n_in)
             pos += n_in * n_out
-            bias = theta[pos : pos + n_out]
+            bias = theta[..., pos : pos + n_out]
             pos += n_out
             layers.append((weight, bias))
         return layers
@@ -167,37 +222,41 @@ class MlpModel:
     def out_dim(self):
         return self.spec.out_dim
 
-    def logits(self, x, theta):
-        """Raw network output before any link function."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.spec.in_dim,):
-            raise ValueError(f"x has shape {x.shape}, expected ({self.spec.in_dim},)")
-        a = x
-        for i, (weight, bias) in enumerate(self.spec.unpack(theta)):
-            z = weight @ a + bias
-            a = z if i == len(self.spec.layer_widths) - 2 else _act(self.spec, z)
-        return a
-
-    def forward(self, x, theta):
-        """Observation mean: raw outputs, or softmax probabilities."""
-        z = self.logits(x, theta)
-        if self.family.kind == "categorical":
-            return softmax(z)
-        return z
-
-    def logit_jacobian(self, x, theta):
-        """C x P Jacobian of the raw output in the flat parameters."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        layers = self.spec.unpack(theta)
-        # forward pass, keeping pre- and post-activation values
+    def _pass(self, x, layers):
+        """Pre- and post-activation values of every layer, input first in
+        the latter; a leading draw axis of the weights carries through."""
         acts = [x]
         pre = []
         a = x
         for i, (weight, bias) in enumerate(layers):
-            z = weight @ a + bias
+            # matrix-column product: bit-identical to ``weight @ a`` per draw
+            z = (weight @ a[..., None])[..., 0] + bias
             pre.append(z)
             a = z if i == len(layers) - 1 else _act(self.spec, z)
             acts.append(a)
+        return pre, acts
+
+    def _input(self, x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.spec.in_dim,):
+            raise ValueError(f"x has shape {x.shape}, expected ({self.spec.in_dim},)")
+        return x
+
+    def logits(self, x, theta):
+        """Raw network output before any link function, (C,) or (S, C)."""
+        return self._pass(self._input(x), self.spec.unpack(theta))[0][-1]
+
+    def forward(self, x, theta):
+        """Observation mean: raw outputs, or softmax probabilities."""
+        return _link(self.family, self.logits(x, theta))
+
+    def logit_jacobian(self, x, theta, with_logits=False):
+        """C x P Jacobian of the raw output in the flat parameters;
+        ``with_logits`` returns ``(logits, jacobian)`` from the same pass."""
+        if np.ndim(theta) != 1:
+            raise ValueError("the Jacobian takes a single parameter vector")
+        layers = self.spec.unpack(theta)
+        pre, acts = self._pass(self._input(x), layers)
         c = self.spec.out_dim
         p = self.spec.parameter_count
         jac = np.zeros((c, p))
@@ -214,16 +273,14 @@ class MlpModel:
             jac[:, pos : pos + n_in * n_out] = block.reshape(c, n_in * n_out)
             if i > 0:
                 g = (g @ weight) * _act_grad(self.spec, pre[i - 1], acts[i])[None, :]
-        return jac
+        return (pre[-1], jac) if with_logits else jac
 
-    def jacobian(self, x, theta):
-        """Jacobian of the observation mean (softmax output for categorical)."""
-        jac = self.logit_jacobian(x, theta)
-        if self.family.kind == "categorical":
-            probs = self.forward(x, theta)
-            s = np.diag(probs) - np.outer(probs, probs)
-            return s @ jac
-        return jac
+    def jacobian(self, x, theta, with_mean=False):
+        """Jacobian of the observation mean (softmax output for categorical);
+        ``with_mean`` returns ``(mean, jacobian)`` from the same pass."""
+        return _link_jacobian(
+            self.family, *self.logit_jacobian(x, theta, with_logits=True), with_mean
+        )
 
 
 @dataclass(frozen=True)
@@ -231,7 +288,8 @@ class FunctionModel:
     """Observation model from explicit forward and Jacobian callables.
 
     Handy for hand-built test problems such as linear maps or scalar
-    polynomials; both callables take (x, theta).
+    polynomials; both callables take (x, theta) for one parameter vector.
+    A stack of draws (S, P) is evaluated row by row.
     """
 
     forward_fn: object
@@ -240,23 +298,21 @@ class FunctionModel:
     parameter_count: int = 0
 
     def logits(self, x, theta):
+        if np.ndim(theta) == 2:
+            return np.stack([self.logits(x, row) for row in theta])
         return np.atleast_1d(np.asarray(self.forward_fn(x, theta), dtype=float))
 
     def forward(self, x, theta):
-        out = self.logits(x, theta)
-        if self.family.kind == "categorical":
-            return softmax(out)
-        return out
+        return _link(self.family, self.logits(x, theta))
 
-    def logit_jacobian(self, x, theta):
-        return np.atleast_2d(np.asarray(self.jacobian_fn(x, theta), dtype=float))
+    def logit_jacobian(self, x, theta, with_logits=False):
+        jac = np.atleast_2d(np.asarray(self.jacobian_fn(x, theta), dtype=float))
+        return (self.logits(x, theta), jac) if with_logits else jac
 
-    def jacobian(self, x, theta):
-        jac = self.logit_jacobian(x, theta)
-        if self.family.kind == "categorical":
-            probs = self.forward(x, theta)
-            return (np.diag(probs) - np.outer(probs, probs)) @ jac
-        return jac
+    def jacobian(self, x, theta, with_mean=False):
+        return _link_jacobian(
+            self.family, *self.logit_jacobian(x, theta, with_logits=True), with_mean
+        )
 
 
 def _categorical_moments(probs):
@@ -286,17 +342,17 @@ def linearize(model, x, mu):
     is ``diag(p) - p p^T`` at the clamped softmax output and the whitener
     is its eigenvalue pseudo-inverse square root; the kernel of R lies in
     the kernel of ``jacobian.T`` so whitened updates are well defined.
+    One network pass yields both the output and the Jacobian.
     """
-    y_hat = model.forward(x, mu)
-    if model.family.kind == "categorical":
-        y_hat, cov = _categorical_moments(y_hat)
+    family = model.family
+    if family.kind == "categorical":
+        logits, logit_jac = model.logit_jacobian(x, mu, with_logits=True)
+        y_hat, cov = _categorical_moments(softmax(logits))
         sm = np.diag(y_hat) - np.outer(y_hat, y_hat)
-        jac = sm @ model.logit_jacobian(x, mu)
-        return Linearization(y_hat, jac, cov, pseudo_whitener(cov))
-    cov = model.family.obs_cov(y_hat.shape[0])
-    chol = chol_or_raise(cov, "observation covariance")
-    whitener = scipy.linalg.solve_triangular(chol, np.eye(cov.shape[0]), lower=True)
-    return Linearization(y_hat, model.jacobian(x, mu), cov, whitener)
+        return Linearization(y_hat, sm @ logit_jac, cov, pseudo_whitener(cov))
+    y_hat, jac = model.jacobian(x, mu, with_mean=True)
+    c = y_hat.shape[0]
+    return Linearization(y_hat, jac, family.obs_cov(c), family.obs_whitener(c))
 
 
 def initialize_mean(spec, rng_seed, scheme="lecun_normal"):

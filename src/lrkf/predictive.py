@@ -6,7 +6,9 @@ approximate ``p(y | x, data so far)`` at increasing fidelity:
 * :func:`plugin_predict` plugs in the posterior mean (no parameter
   uncertainty). Its negative log score is the NLL.
 * :func:`mc_predict` marginalizes the parameters by Monte Carlo; its
-  negative log score is the NLPD.
+  negative log score is the NLPD. The S draws are scored in one batched
+  forward call (``theta`` of shape (S, P)), so it costs one network pass
+  over S draws and O(S P) memory.
 * :func:`gaussian_predict` is the closed form for linearized regression,
   ``V = H Sigma H^T + R`` computed by the Woodbury identity in O(P L^2).
 * :func:`probit_predict` is a deterministic classification approximation
@@ -23,18 +25,39 @@ from .belief import _dlr_parts, sample_parameters
 from .models import softmax
 
 
+def gaussian_log_density(resid, chol):
+    """log N(resid; 0, L L^T) for residuals of shape (C,) or (S, C),
+    whitening every row against the one lower Cholesky factor L."""
+    white = np.linalg.solve(chol, resid.T)
+    quad = white @ white if white.ndim == 1 else np.einsum("cs,cs->s", white, white)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (resid.shape[-1] * np.log(2 * np.pi) + logdet + quad)
+
+
+def categorical_log_prob(probs, y):
+    """log p(y) under probabilities of shape (C,) or (S, C).
+
+    ``y`` is a class index or a label vector. Only its nonzero entries
+    are weighted, so a class whose probability underflowed to 0 adds
+    nothing instead of 0 * log 0 = NaN.
+    """
+    y = np.asarray(y)
+    if y.ndim == 0:
+        return np.log(probs[..., int(y)])
+    nz = np.flatnonzero(y)
+    return np.log(probs[..., nz]) @ y[nz]
+
+
 @dataclass(frozen=True)
 class GaussianPrediction:
     mean: np.ndarray
     cov: np.ndarray
+    chol: np.ndarray = None  # lower Cholesky factor of cov, if already known
 
     def nll(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        resid = y - self.mean
-        chol = np.linalg.cholesky(self.cov)
-        white = np.linalg.solve(chol, resid)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        return 0.5 * (resid.size * np.log(2 * np.pi) + logdet + white @ white)
+        resid = np.atleast_1d(np.asarray(y, dtype=float)) - self.mean
+        chol = np.linalg.cholesky(self.cov) if self.chol is None else self.chol
+        return -gaussian_log_density(resid, chol)
 
 
 @dataclass(frozen=True)
@@ -43,39 +66,24 @@ class CategoricalPrediction:
 
     def nll(self, y):
         """y may be a class index or a one-hot vector."""
-        y = np.asarray(y)
-        if y.ndim == 0:
-            return -np.log(self.probs[int(y)])
-        return -float(y @ np.log(self.probs))
+        return -float(categorical_log_prob(self.probs, y))
 
 
 def plugin_predict(belief, model, x):
     """Predictive distribution at the belief mean alone."""
     out = model.forward(x, belief.mean)
-    if model.family.kind == "categorical":
+    family = model.family
+    if family.kind == "categorical":
         return CategoricalPrediction(out)
-    return GaussianPrediction(out, model.family.obs_cov(out.shape[0]))
-
-
-def _log_likelihood(model, x, theta, y):
-    if model.family.kind == "categorical":
-        probs = model.forward(x, theta)
-        y = np.asarray(y)
-        if y.ndim == 0:
-            return np.log(probs[int(y)])
-        return float(y @ np.log(probs))
-    mean = model.forward(x, theta)
-    resid = np.atleast_1d(np.asarray(y, dtype=float)) - mean
-    cov = model.family.obs_cov(mean.shape[0])
-    chol = np.linalg.cholesky(cov)
-    white = np.linalg.solve(chol, resid)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (resid.size * np.log(2 * np.pi) + logdet + white @ white)
+    return GaussianPrediction(out, family.obs_cov(out.shape[0]), family.obs_chol(out.shape[0]))
 
 
 def mc_predict(belief, model, x, y, n_samples, rng_seed, temperature=1.0):
     """Monte Carlo NLPD: ``-log mean_s p(y | x, theta_s)``.
 
+    All S draws go through one batched ``model.forward`` call and their
+    log-likelihoods are computed as one array; for a Gaussian family the
+    residuals are whitened together against the family's fixed factor.
     ``temperature`` scales the parameter covariance before sampling;
     0 short-circuits to the plugin NLL.
     """
@@ -86,7 +94,13 @@ def mc_predict(belief, model, x, y, n_samples, rng_seed, temperature=1.0):
     draws = sample_parameters(belief, n_samples, rng_seed)
     if temperature != 1.0:
         draws = belief.mean + np.sqrt(temperature) * (draws - belief.mean)
-    logs = np.array([_log_likelihood(model, x, theta, y) for theta in draws])
+    out = model.forward(x, draws)
+    family = model.family
+    if family.kind == "categorical":
+        logs = categorical_log_prob(out, y)
+    else:
+        resid = np.atleast_1d(np.asarray(y, dtype=float)) - out
+        logs = gaussian_log_density(resid, family.obs_chol(out.shape[-1]))
     return float(-(logsumexp(logs) - np.log(n_samples)))
 
 

@@ -306,8 +306,9 @@ def _metric_value(metric, learner, out, y, nlpd_samples, seed, t):
     if metric == "nll":
         if family.kind == "categorical":
             return float(CategoricalPrediction(out.y_hat).nll(y))
-        cov = family.obs_cov(np.atleast_1d(out.y_hat).shape[0])
-        return float(GaussianPrediction(np.atleast_1d(out.y_hat), cov).nll(y))
+        y_hat = np.atleast_1d(out.y_hat)
+        c = y_hat.shape[0]
+        return float(GaussianPrediction(y_hat, family.obs_cov(c), family.obs_chol(c)).nll(y))
     if metric == "nlpd":
         if out.belief is None:
             raise ValueError("nlpd needs a learner with a posterior belief")

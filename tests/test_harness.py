@@ -91,6 +91,17 @@ class TestParsingAndValidation:
         assert any("nlpd" in p and tag in p for p in problems)
         assert main(["validate", path]) == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nlpd_samples_below_one_is_named(self, samples, tmp_path, capsys):
+        text = BASIC.format(out=tmp_path / "o").replace("rmse nll", "rmse nlpd")
+        text = text.replace("seeds = 0 1", f"seeds = 0 1\nnlpd_samples = {samples}")
+        path = write_config(tmp_path / "c.ini", text)
+        problems = validate_config(parse_config(path))
+        assert any(p.startswith("experiment.nlpd_samples:") for p in problems)
+        assert main(["validate", path]) == 1
+        text = text.replace(f"nlpd_samples = {samples}", "nlpd_samples = 1")
+        assert validate_config(parse_config(write_config(tmp_path / "c.ini", text))) == []
+
     @pytest.mark.parametrize("tag", ["fcekf", "iekf", "ilrekf", "vdekf"])
     def test_inflation_on_a_method_without_it_is_named(self, tag, tmp_path):
         text = BASIC.format(out=tmp_path / "o").replace("name = lrekf", f"name = {tag}")

@@ -4,7 +4,7 @@ import pytest
 from lrkf import diagonal
 from lrkf.bandit import FilterBanditAgent, env_from_stream, run_bandit
 from lrkf.learners import build_learner
-from lrkf.models import GaussianFamily, MlpModel, MlpSpec
+from lrkf.models import CategoricalFamily, GaussianFamily, MlpModel, MlpSpec
 from lrkf.streams import (
     PiecewiseSineSpec,
     gen_piecewise_sine,
@@ -25,6 +25,26 @@ def count_diagonal_predict(monkeypatch):
         return real(belief, cfg)
 
     monkeypatch.setattr(diagonal, "predict", counting)
+    return calls
+
+
+@pytest.fixture
+def count_mlp_passes(monkeypatch):
+    """Network passes by kind: ``forward`` calls, and every pass of the
+    layer loop (forward, batched Monte Carlo forward or Jacobian)."""
+    calls = {"forward": 0, "passes": 0}
+    real_forward, real_pass = MlpModel.forward, MlpModel._pass
+
+    def forward(self, x, theta):
+        calls["forward"] += 1
+        return real_forward(self, x, theta)
+
+    def layer_pass(self, x, layers):
+        calls["passes"] += 1
+        return real_pass(self, x, layers)
+
+    monkeypatch.setattr(MlpModel, "forward", forward)
+    monkeypatch.setattr(MlpModel, "_pass", layer_pass)
     return calls
 
 
@@ -69,3 +89,40 @@ def test_observe_drops_the_cached_prediction(tag):
         assert vars(cached).keys() == vars(fresh).keys()
         for key, value in vars(cached).items():
             np.testing.assert_array_equal(value, vars(fresh)[key])
+
+
+@pytest.mark.parametrize("tag", ["lrekf", "lrekf_spherical", "vdekf"])
+def test_prequential_eval_runs_two_mlp_passes_per_event(count_mlp_passes, tag):
+    # one forward for the prediction, one pass for the linearization's
+    # output and Jacobian together
+    model, events = sine_setup()
+    params = {"lrekf": PARAMS, "lrekf_spherical": {"rank": 3, "process_noise": 1e-4},
+              "vdekf": {"process_noise": 1e-4}}[tag]
+    prequential_eval(build_learner(tag, model, params, seed=0), events, ("rmse", "nll"))
+    assert count_mlp_passes == {"forward": len(events), "passes": 2 * len(events)}
+
+
+def test_nlpd_adds_one_batched_pass_per_event(count_mlp_passes):
+    model, events = sine_setup()
+    learner = build_learner("lrekf", model, PARAMS, seed=0)
+    prequential_eval(learner, events, ("rmse", "nll", "nlpd"), nlpd_samples=8)
+    assert count_mlp_passes == {"forward": 2 * len(events), "passes": 3 * len(events)}
+
+
+def test_categorical_linearization_is_one_pass(count_mlp_passes):
+    events = gen_synthetic_classification(20, in_dim=3, num_classes=3, seed=0)
+    count_mlp_passes.update(forward=0, passes=0)  # the stream's teacher network ran
+    model = MlpModel(MlpSpec((3, 6, 3)), CategoricalFamily())
+    prequential_eval(build_learner("lrekf", model, PARAMS, seed=0), events, ("nll", "misclass"))
+    assert count_mlp_passes == {"forward": 20, "passes": 40}
+
+
+def test_bandit_runs_two_mlp_passes_per_step(count_mlp_passes):
+    # one forward under the Thompson draw, one pass for the masked linearization
+    events = gen_synthetic_classification(40, in_dim=3, num_classes=3, seed=0)
+    count_mlp_passes.update(forward=0, passes=0)  # the stream's teacher network ran
+    env = env_from_stream(events, 3)
+    model = MlpModel(MlpSpec((3, 6, 3)), GaussianFamily(0.25))
+    agent = FilterBanditAgent(build_learner("lrekf", model, PARAMS, seed=0))
+    run_bandit(env, agent, "thompson", 40, seed=0)
+    assert count_mlp_passes == {"forward": 40, "passes": 80}

@@ -3,6 +3,7 @@ import pytest
 
 from lrkf.models import (
     CategoricalFamily,
+    FunctionModel,
     GaussianFamily,
     MlpModel,
     MlpSpec,
@@ -187,3 +188,135 @@ class TestInitializeMean:
         a = initialize_mean(spec, 42)
         b = initialize_mean(spec, 42)
         assert np.array_equal(a, b)
+
+
+class TestBatchedForward:
+    """``theta`` of shape (S, P) runs S draws in one pass."""
+
+    CASES = [
+        (MlpSpec((2, 6, 1), activation="tanh"), GaussianFamily(0.5)),
+        (MlpSpec((3, 5, 4, 2), activation="relu"), GaussianFamily(1.0)),
+        (MlpSpec((2, 4, 3), activation="tanh"), CategoricalFamily()),
+        (MlpSpec((3, 5, 4, 3), activation="relu"), CategoricalFamily()),
+    ]
+
+    @staticmethod
+    def _reference_logits(spec, x, theta):
+        """Single-draw pass written as ``weight @ a + bias``."""
+        act = np.tanh if spec.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+        a = x
+        layers = spec.unpack(theta)
+        for i, (weight, bias) in enumerate(layers):
+            z = weight @ a + bias
+            a = z if i == len(layers) - 1 else act(z)
+        return a
+
+    @pytest.mark.parametrize("spec, family", CASES)
+    def test_rows_equal_single_draw_calls_bitwise(self, spec, family):
+        model = MlpModel(spec, family)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(spec.in_dim)
+        thetas = rng.standard_normal((7, model.parameter_count))
+        logits, out = model.logits(x, thetas), model.forward(x, thetas)
+        assert logits.shape == out.shape == (7, spec.out_dim)
+        for s, theta in enumerate(thetas):
+            assert np.array_equal(logits[s], model.logits(x, theta))
+            assert np.array_equal(logits[s], self._reference_logits(spec, x, theta))
+            assert np.array_equal(out[s], model.forward(x, theta))
+
+    def test_single_draw_stack_matches_vector(self):
+        model = MlpModel(MlpSpec((2, 4, 3)), CategoricalFamily())
+        theta = initialize_mean(model.spec, 2)
+        x = np.array([0.3, -0.8])
+        assert np.array_equal(model.forward(x, theta[None, :])[0], model.forward(x, theta))
+
+    def test_wrong_length_rejected_on_stacks(self):
+        model = MlpModel(MlpSpec((2, 3, 1)), GaussianFamily(1.0))
+        x = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="theta has length"):
+            model.forward(x, np.zeros((4, model.parameter_count + 1)))
+        with pytest.raises(ValueError, match="theta has length"):
+            model.forward(x, np.zeros((2, 2, model.parameter_count)))
+
+    def test_jacobian_takes_one_parameter_vector(self):
+        model = MlpModel(MlpSpec((2, 3, 1)), GaussianFamily(1.0))
+        with pytest.raises(ValueError):
+            model.logit_jacobian(np.array([1.0, 2.0]), np.zeros((2, model.parameter_count)))
+
+    def test_softmax_rows(self):
+        z = np.random.default_rng(1).standard_normal((5, 4)) * 30.0
+        probs = softmax(z)
+        for s in range(5):
+            assert np.array_equal(probs[s], softmax(z[s]))
+
+    def test_function_model_applies_callables_row_by_row(self):
+        model = FunctionModel(
+            lambda x, th: np.array([np.tanh(th @ x), th[0] * th[1]]),
+            lambda x, th: np.zeros((2, 3)),
+            CategoricalFamily(),
+            parameter_count=3,
+        )
+        x = np.array([0.5, -1.0, 2.0])
+        thetas = np.random.default_rng(2).standard_normal((6, 3))
+        out = model.forward(x, thetas)
+        assert out.shape == (6, 2)
+        for s, theta in enumerate(thetas):
+            assert np.array_equal(out[s], model.forward(x, theta))
+
+
+class TestOnePassLinearization:
+    @pytest.mark.parametrize("family", [GaussianFamily(0.3), CategoricalFamily()])
+    def test_mean_and_jacobian_match_separate_calls(self, family):
+        model = MlpModel(MlpSpec((2, 5, 3), activation="tanh"), family)
+        theta = initialize_mean(model.spec, 6)
+        x = np.array([0.4, -0.7])
+        mean, jac = model.jacobian(x, theta, with_mean=True)
+        assert np.array_equal(mean, model.forward(x, theta))
+        assert np.array_equal(jac, model.jacobian(x, theta))
+        logits, logit_jac = model.logit_jacobian(x, theta, with_logits=True)
+        assert np.array_equal(logits, model.logits(x, theta))
+        assert np.array_equal(logit_jac, model.logit_jacobian(x, theta))
+
+    def test_linearize_mean_is_the_forward_output(self):
+        model = MlpModel(MlpSpec((2, 5, 2), activation="tanh"), GaussianFamily(0.3))
+        theta = initialize_mean(model.spec, 6)
+        x = np.array([0.4, -0.7])
+        lin = linearize(model, x, theta)
+        assert np.array_equal(lin.y_hat, model.forward(x, theta))
+        assert np.array_equal(lin.jacobian, model.jacobian(x, theta))
+
+    def test_linearize_rejects_bad_input_shape(self):
+        model = MlpModel(MlpSpec((2, 3, 1)), GaussianFamily(1.0))
+        with pytest.raises(ValueError, match="x has shape"):
+            linearize(model, np.zeros(3), np.zeros(model.parameter_count))
+
+
+class TestFixedGaussianTerms:
+    @pytest.mark.parametrize("variance", [0.25, np.array([[0.5, 0.1], [0.1, 0.3]])])
+    def test_terms_match_fresh_factorization_and_are_shared(self, variance):
+        import scipy.linalg
+
+        family = GaussianFamily(variance)
+        cov = family.obs_cov(2)
+        expected = float(variance) * np.eye(2) if np.ndim(variance) == 0 else variance
+        chol = np.linalg.cholesky(expected)
+        assert np.array_equal(cov, expected)
+        assert np.array_equal(family.obs_chol(2), chol)
+        assert np.array_equal(
+            family.obs_whitener(2),
+            scipy.linalg.solve_triangular(chol, np.eye(2), lower=True),
+        )
+        assert family.obs_cov(2) is cov and family.obs_chol(2) is family.obs_chol(2)
+        with pytest.raises(ValueError):
+            cov[0, 0] = 1.0  # shared terms are read only
+
+    def test_scalar_variance_keeps_one_entry_per_size(self):
+        family = GaussianFamily(2.0)
+        assert family.obs_cov(1).shape == (1, 1)
+        assert family.obs_cov(3).shape == (3, 3)
+        assert family == GaussianFamily(2.0)
+
+    def test_caller_array_is_not_frozen(self):
+        r = np.array([[0.5, 0.0], [0.0, 0.5]])
+        GaussianFamily(r).obs_chol(2)
+        r[0, 0] = 0.6  # the family holds its own read-only copy

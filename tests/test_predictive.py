@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from lrkf.belief import DlrBelief, dlr_to_dense
+from scipy.special import logsumexp
+
+from lrkf.belief import DlrBelief, dlr_to_dense, sample_parameters
 from lrkf.models import (
     CategoricalFamily,
     FunctionModel,
@@ -22,7 +24,7 @@ from lrkf.predictive import (
     probit_predict,
 )
 
-from conftest import random_dlr
+from conftest import random_dlr, random_spherical
 
 
 class TestPlugin:
@@ -112,6 +114,65 @@ class TestMonteCarlo:
         closed = gaussian_predict(b, lin).nll(y)
         mc = mc_predict(b, model, x, y, n_samples=100_000, rng_seed=2)
         assert abs(mc - closed) / abs(closed) < 0.01
+
+
+class TestBatchedMonteCarlo:
+    """mc_predict scores all draws in one call; a per-draw loop is the oracle."""
+
+    @staticmethod
+    def _per_draw_nlpd(belief, model, x, y, n, seed):
+        logs = []
+        for theta in sample_parameters(belief, n, seed):
+            out = model.forward(x, theta)
+            if model.family.kind == "categorical":
+                logs.append(np.log(out[int(np.argmax(y))]))
+                continue
+            resid = np.atleast_1d(y) - out
+            chol = np.linalg.cholesky(model.family.obs_cov(out.shape[0]))
+            white = np.linalg.solve(chol, resid)
+            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+            logs.append(-0.5 * (resid.size * np.log(2 * np.pi) + logdet + white @ white))
+        return -(logsumexp(logs) - np.log(n))
+
+    def _check(self, belief, model, x, y, n=40):
+        for seed in range(3):
+            got = mc_predict(belief, model, x, y, n, [seed, 7])
+            ref = self._per_draw_nlpd(belief, model, x, y, n, [seed, 7])
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("family", [GaussianFamily(0.3), CategoricalFamily()])
+    def test_dlr_belief(self, family):
+        model = MlpModel(MlpSpec((2, 6, 3), activation="tanh"), family)
+        belief = random_dlr(model.parameter_count, 3, seed=11, factor_scale=0.5)
+        self._check(belief, model, np.array([0.4, -1.1]), np.array([0.0, 1.0, 0.0]))
+
+    def test_spherical_belief(self):
+        model = MlpModel(MlpSpec((3, 5, 4, 2), activation="relu"),
+                         GaussianFamily(np.array([[0.4, 0.1], [0.1, 0.2]])))
+        belief = random_spherical(model.parameter_count, 4, seed=12)
+        self._check(belief, model, np.array([0.5, -0.2, 1.0]), np.array([0.3, -0.6]))
+
+    def test_function_model(self):
+        model = FunctionModel(
+            lambda x, th: np.array([np.tanh(th @ x), th[0] * th[1]]),
+            lambda x, th: np.zeros((2, 3)),
+            GaussianFamily(0.5),
+            parameter_count=3,
+        )
+        belief = random_dlr(3, 1, seed=13)
+        self._check(belief, model, np.array([0.2, 0.9, -0.4]), np.array([0.1, 0.5]))
+
+    def test_underflowed_class_gives_finite_nlpd(self):
+        # one weight at 1000 drives class 1 and 2 probabilities to exactly 0
+        model = MlpModel(MlpSpec((2, 3)), CategoricalFamily())
+        theta = np.zeros(model.parameter_count)
+        theta[0] = 1000.0
+        belief = DlrBelief(theta, np.full(theta.shape[0], 1e6), np.zeros((theta.shape[0], 0)))
+        x = np.array([1.0, 0.0])
+        assert model.forward(x, theta)[1] == 0.0
+        nlpd = mc_predict(belief, model, x, np.array([1.0, 0.0, 0.0]), 16, 0)
+        assert np.isfinite(nlpd) and abs(nlpd) < 1e-12
+        assert mc_predict(belief, model, x, 0, 16, 0) == nlpd
 
 
 class TestGaussianPredict:
@@ -229,3 +290,24 @@ def test_prediction_container_nll_shapes():
     c = CategoricalPrediction(np.array([0.2, 0.8]))
     assert c.nll(1) == pytest.approx(-np.log(0.8))
     assert c.nll(np.array([0.0, 1.0])) == pytest.approx(-np.log(0.8))
+
+
+def test_categorical_nll_ignores_underflowed_classes():
+    probs = softmax(np.array([0.0, -800.0, -1.0]))
+    assert probs[1] == 0.0
+    pred = CategoricalPrediction(probs)
+    assert pred.nll(np.array([1, 0, 0])) == -np.log(probs[0])
+    assert pred.nll(np.array([1.0, 0.0, 0.0])) == pred.nll(0)
+
+
+def test_one_hot_nll_unchanged_bitwise():
+    probs = softmax(np.random.default_rng(3).standard_normal(5))
+    y = np.eye(5)[2]
+    assert CategoricalPrediction(probs).nll(y) == -float(y @ np.log(probs))
+
+
+def test_gaussian_nll_with_known_factor_matches_fresh_factorization():
+    family = GaussianFamily(np.array([[0.5, 0.2], [0.2, 0.4]]))
+    mean, y = np.array([0.1, -0.3]), np.array([0.6, 0.2])
+    fresh = GaussianPrediction(mean, family.obs_cov(2)).nll(y)
+    assert GaussianPrediction(mean, family.obs_cov(2), family.obs_chol(2)).nll(y) == fresh

@@ -69,7 +69,7 @@ def epsilon_greedy_act(point_estimate, model, x, epsilon, seed):
 
 def masked_reward_linearization(model, x, mean, action, reward_variance):
     """Linearization of the chosen head as a scalar Gaussian observation."""
-    values, jac = model.jacobian(x, mean, with_mean=True)
+    values, jac = model.jacobian(x, mean)
     cov = np.array([[reward_variance]])
     whitener = np.array([[1.0 / np.sqrt(reward_variance)]])
     return Linearization(values[action : action + 1], jac[action : action + 1, :], cov, whitener)
@@ -123,7 +123,7 @@ class SgdBanditAgent:
             grads = []
             for bx, ar in buf:
                 a, r = int(ar[0]), ar[1]
-                values, jac = self.model.jacobian(bx, self.learner.params, with_mean=True)
+                values, jac = self.model.jacobian(bx, self.learner.params)
                 grads.append(jac[a] * (values[a] - r) / self.reward_variance)
             self.learner.params = self.learner.optimizer.step(
                 self.learner.params, np.mean(grads, axis=0)

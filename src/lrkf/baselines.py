@@ -190,9 +190,9 @@ def nll_gradient(model, x, y, theta):
     """Gradient of the per-example negative log likelihood."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if model.family.kind == "categorical":
-        logits, jac = model.logit_jacobian(x, theta, with_logits=True)
+        logits, jac = model.logit_jacobian(x, theta)
         return jac.T @ (softmax(logits) - y)
-    mean, jac = model.jacobian(x, theta, with_mean=True)
+    mean, jac = model.jacobian(x, theta)
     resid = y - mean
     lin_cov = model.family.obs_cov(resid.shape[0])
     return -jac.T @ np.linalg.solve(lin_cov, resid)

@@ -129,13 +129,13 @@ def _link(family, logits):
     return softmax(logits) if family.kind == "categorical" else logits
 
 
-def _link_jacobian(family, logits, jac, with_mean):
-    """Jacobian of the observation mean from the raw output and its
-    Jacobian; ``with_mean`` returns ``(mean, jacobian)``."""
+def _link_jacobian(family, logits, jac):
+    """Observation mean and its Jacobian from the raw output and its
+    Jacobian."""
     mean = _link(family, logits)
     if family.kind == "categorical":
         jac = (np.diag(mean) - np.outer(mean, mean)) @ jac
-    return (mean, jac) if with_mean else jac
+    return mean, jac
 
 
 @dataclass(frozen=True)
@@ -250,9 +250,9 @@ class MlpModel:
         """Observation mean: raw outputs, or softmax probabilities."""
         return _link(self.family, self.logits(x, theta))
 
-    def logit_jacobian(self, x, theta, with_logits=False):
-        """C x P Jacobian of the raw output in the flat parameters;
-        ``with_logits`` returns ``(logits, jacobian)`` from the same pass."""
+    def logit_jacobian(self, x, theta):
+        """Raw output and its C x P Jacobian in the flat parameters, as
+        ``(logits, jacobian)`` from one pass."""
         if np.ndim(theta) != 1:
             raise ValueError("the Jacobian takes a single parameter vector")
         layers = self.spec.unpack(theta)
@@ -273,14 +273,12 @@ class MlpModel:
             jac[:, pos : pos + n_in * n_out] = block.reshape(c, n_in * n_out)
             if i > 0:
                 g = (g @ weight) * _act_grad(self.spec, pre[i - 1], acts[i])[None, :]
-        return (pre[-1], jac) if with_logits else jac
+        return pre[-1], jac
 
-    def jacobian(self, x, theta, with_mean=False):
-        """Jacobian of the observation mean (softmax output for categorical);
-        ``with_mean`` returns ``(mean, jacobian)`` from the same pass."""
-        return _link_jacobian(
-            self.family, *self.logit_jacobian(x, theta, with_logits=True), with_mean
-        )
+    def jacobian(self, x, theta):
+        """Observation mean (softmax output for categorical) and its
+        Jacobian, as ``(mean, jacobian)`` from one pass."""
+        return _link_jacobian(self.family, *self.logit_jacobian(x, theta))
 
 
 @dataclass(frozen=True)
@@ -305,14 +303,12 @@ class FunctionModel:
     def forward(self, x, theta):
         return _link(self.family, self.logits(x, theta))
 
-    def logit_jacobian(self, x, theta, with_logits=False):
+    def logit_jacobian(self, x, theta):
         jac = np.atleast_2d(np.asarray(self.jacobian_fn(x, theta), dtype=float))
-        return (self.logits(x, theta), jac) if with_logits else jac
+        return self.logits(x, theta), jac
 
-    def jacobian(self, x, theta, with_mean=False):
-        return _link_jacobian(
-            self.family, *self.logit_jacobian(x, theta, with_logits=True), with_mean
-        )
+    def jacobian(self, x, theta):
+        return _link_jacobian(self.family, *self.logit_jacobian(x, theta))
 
 
 def _categorical_moments(probs):
@@ -346,11 +342,11 @@ def linearize(model, x, mu):
     """
     family = model.family
     if family.kind == "categorical":
-        logits, logit_jac = model.logit_jacobian(x, mu, with_logits=True)
+        logits, logit_jac = model.logit_jacobian(x, mu)
         y_hat, cov = _categorical_moments(softmax(logits))
         sm = np.diag(y_hat) - np.outer(y_hat, y_hat)
         return Linearization(y_hat, sm @ logit_jac, cov, pseudo_whitener(cov))
-    y_hat, jac = model.jacobian(x, mu, with_mean=True)
+    y_hat, jac = model.jacobian(x, mu)
     c = y_hat.shape[0]
     return Linearization(y_hat, jac, family.obs_cov(c), family.obs_whitener(c))
 

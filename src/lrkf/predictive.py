@@ -142,7 +142,6 @@ def probit_predict(belief, model, x):
     same Woodbury factorization as :func:`gaussian_predict`, never
     forming the full logit covariance.
     """
-    logits = model.logits(x, belief.mean)
-    jac = model.logit_jacobian(x, belief.mean)
+    logits, jac = model.logit_jacobian(x, belief.mean)
     var = np.maximum(_marginal_quadratic(belief, jac), 0.0)
     return softmax(logits / np.sqrt(1.0 + (np.pi / 8.0) * var))

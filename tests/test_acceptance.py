@@ -180,7 +180,7 @@ def test_05_jacobian_correctness(model_zoo):
         for trial in range(3):
             x = rng.standard_normal(model.spec.in_dim)
             theta = relu_safe_theta(model, x, seed=100 + trial)
-            jac = model.jacobian(x, theta)
+            _, jac = model.jacobian(x, theta)
             ref = fd_jacobian(model, x, theta)
             scale = np.maximum(np.abs(ref), 1e-6)
             worst = max(worst, np.max(np.abs(jac - ref) / scale))

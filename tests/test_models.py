@@ -68,7 +68,7 @@ def test_forward_rejects_bad_shapes():
 def test_jacobian_linear_model_is_input():
     model = MlpModel(MlpSpec((3, 1)), GaussianFamily(1.0))
     x = np.array([0.3, -1.2, 2.0])
-    jac = model.jacobian(x, np.zeros(4))
+    _, jac = model.jacobian(x, np.zeros(4))
     assert jac[0, :3] == pytest.approx(x)  # weight block
     assert jac[0, 3] == pytest.approx(1.0)  # bias block
 
@@ -78,7 +78,7 @@ def test_jacobian_constant_model_is_zero():
     # perturbing first-layer weights then changes nothing
     model = MlpModel(MlpSpec((2, 3, 1), activation="tanh"), GaussianFamily(1.0))
     theta = np.zeros(model.parameter_count)
-    jac = model.jacobian(np.array([1.0, 1.0]), theta)
+    _, jac = model.jacobian(np.array([1.0, 1.0]), theta)
     assert jac[0, :9] == pytest.approx(np.zeros(9), abs=1e-14)
 
 
@@ -86,7 +86,7 @@ def test_jacobian_finite_difference_2_3_2():
     model = MlpModel(MlpSpec((2, 3, 2), activation="tanh"), GaussianFamily(1.0))
     theta = initialize_mean(model.spec, 9)
     x = np.array([0.4, -0.9])
-    jac = model.jacobian(x, theta)
+    _, jac = model.jacobian(x, theta)
     ref = fd_jacobian(model, x, theta)
     scale = np.maximum(np.abs(ref), 1e-6)
     assert np.max(np.abs(jac - ref) / scale) < 1e-4
@@ -97,7 +97,7 @@ def test_jacobian_finite_difference_model_zoo(model_zoo):
     for model in model_zoo:
         x = rng.standard_normal(model.spec.in_dim)
         theta = relu_safe_theta(model, x, seed=17)
-        jac = model.jacobian(x, theta)
+        _, jac = model.jacobian(x, theta)
         ref = fd_jacobian(model, x, theta)
         scale = np.maximum(np.abs(ref), 1e-6)
         assert np.max(np.abs(jac - ref) / scale) < 1e-4, model.spec
@@ -107,7 +107,7 @@ def test_classification_jacobian_finite_difference():
     model = MlpModel(MlpSpec((2, 4, 3), activation="tanh"), CategoricalFamily())
     theta = initialize_mean(model.spec, 21)
     x = np.array([0.2, 0.8])
-    jac = model.jacobian(x, theta)
+    _, jac = model.jacobian(x, theta)
     ref = fd_jacobian(model, x, theta)
     assert np.max(np.abs(jac - ref)) < 1e-6
 
@@ -266,16 +266,17 @@ class TestBatchedForward:
 
 class TestOnePassLinearization:
     @pytest.mark.parametrize("family", [GaussianFamily(0.3), CategoricalFamily()])
-    def test_mean_and_jacobian_match_separate_calls(self, family):
+    def test_outputs_of_the_jacobian_pass_match_forward(self, family):
         model = MlpModel(MlpSpec((2, 5, 3), activation="tanh"), family)
         theta = initialize_mean(model.spec, 6)
         x = np.array([0.4, -0.7])
-        mean, jac = model.jacobian(x, theta, with_mean=True)
-        assert np.array_equal(mean, model.forward(x, theta))
-        assert np.array_equal(jac, model.jacobian(x, theta))
-        logits, logit_jac = model.logit_jacobian(x, theta, with_logits=True)
+        logits, logit_jac = model.logit_jacobian(x, theta)
         assert np.array_equal(logits, model.logits(x, theta))
-        assert np.array_equal(logit_jac, model.logit_jacobian(x, theta))
+        mean, jac = model.jacobian(x, theta)
+        assert np.array_equal(mean, model.forward(x, theta))
+        if family.kind == "categorical":
+            logit_jac = (np.diag(mean) - np.outer(mean, mean)) @ logit_jac
+        assert np.array_equal(jac, logit_jac)
 
     def test_linearize_mean_is_the_forward_output(self):
         model = MlpModel(MlpSpec((2, 5, 2), activation="tanh"), GaussianFamily(0.3))
@@ -283,7 +284,7 @@ class TestOnePassLinearization:
         x = np.array([0.4, -0.7])
         lin = linearize(model, x, theta)
         assert np.array_equal(lin.y_hat, model.forward(x, theta))
-        assert np.array_equal(lin.jacobian, model.jacobian(x, theta))
+        assert np.array_equal(lin.jacobian, model.jacobian(x, theta)[1])
 
     def test_linearize_rejects_bad_input_shape(self):
         model = MlpModel(MlpSpec((2, 3, 1)), GaussianFamily(1.0))

@@ -20,8 +20,8 @@ import numpy as np
 from .exceptions import NumericalDegeneracyError
 from .linalg import chol_or_raise, thin_svd
 
-# Largest P for which dense P x P reconstructions are allowed. Conversions
-# are meant for oracles and checkpoint-size sanity, not production paths.
+# Largest P for which dense P x P reconstructions are allowed: the dense
+# conversions and the dense sampling oracle. No production path uses them.
 DENSE_ORACLE_LIMIT = 200
 
 
@@ -135,23 +135,6 @@ class DenseBelief:
         return self.mean.shape[0]
 
 
-def dlr_to_dense(belief, limit=DENSE_ORACLE_LIMIT):
-    """Materialize the P x P precision ``diag(d) + W W^T``."""
-    if belief.dim > limit:
-        raise ValueError(f"P={belief.dim} exceeds the dense oracle limit {limit}")
-    prec = np.diag(belief.diag_precision) + belief.low_rank @ belief.low_rank.T
-    return DenseBelief(belief.mean, 0.5 * (prec + prec.T))
-
-
-def spherical_to_dense(belief, limit=DENSE_ORACLE_LIMIT):
-    """Materialize the P x P precision ``eta I + U diag(lam)^2 U^T``."""
-    if belief.dim > limit:
-        raise ValueError(f"P={belief.dim} exceeds the dense oracle limit {limit}")
-    w = belief.basis * belief.singular_values
-    prec = belief.eta * np.eye(belief.dim) + w @ w.T
-    return DenseBelief(belief.mean, 0.5 * (prec + prec.T))
-
-
 def _dlr_parts(belief):
     """(mean, diag, factor) view of a DLR or spherical belief."""
     if isinstance(belief, SphericalBelief):
@@ -160,53 +143,57 @@ def _dlr_parts(belief):
     return belief.mean, belief.diag_precision, belief.low_rank
 
 
-def sample_parameters(belief, n, rng_seed, method="auto"):
-    """Draw ``n`` i.i.d. parameter vectors from the belief.
+def dlr_to_dense(belief, limit=DENSE_ORACLE_LIMIT):
+    """Materialize the P x P precision ``diag(d) + W W^T`` of a DLR belief,
+    or ``eta I + U diag(lam)^2 U^T`` of a spherical one."""
+    mean, diag, w = _dlr_parts(belief)
+    if mean.shape[0] > limit:
+        raise ValueError(f"P={mean.shape[0]} exceeds the dense oracle limit {limit}")
+    prec = np.diag(diag) + w @ w.T
+    return DenseBelief(mean, 0.5 * (prec + prec.T))
 
-    Parameters
-    ----------
-    belief : DlrBelief or SphericalBelief
-    n : int
-    rng_seed : seed accepted by ``np.random.default_rng``
-    method : {"auto", "dense", "lowrank"}
-        "dense" factorizes the full precision (P limited to
-        ``DENSE_ORACLE_LIMIT``); "lowrank" never materializes a P x P
-        matrix and costs O(n P + P L^2). "auto" picks dense for small P.
 
-    Returns
-    -------
-    ndarray, shape (n, P)
+spherical_to_dense = dlr_to_dense
+
+
+def sample_parameters(belief, n, rng_seed, method="lowrank"):
+    """Draw ``n`` i.i.d. parameter vectors from the belief, shape (n, P).
+
+    The sampler perturbs and solves (Papandreou & Yuille, 2010). With
+    ``M = D^-1/2 W`` the precision is ``D^1/2 (I + M M^T) D^1/2``. For
+    ``z ~ N(0, I_P)`` and ``z' ~ N(0, I_L)``, ``u = z + M z'`` has covariance
+    ``I + M M^T``, so ``v = (I + M M^T)^-1 u = z + M (I + M^T M)^-1 (z' - M^T z)``
+    has its inverse and ``mean + D^-1/2 v`` is a draw. Only the L x L core
+    is solved: O(n P L + P L^2) for every P, with no SVD and no P x P
+    matrix. ``method="dense"`` factors the P x P precision instead; it is
+    the test oracle, limited to P <= ``DENSE_ORACLE_LIMIT``.
     """
     mean, diag, w = _dlr_parts(belief)
-    p = mean.shape[0]
+    p, rank = w.shape
     rng = np.random.default_rng(rng_seed)
-    if method == "auto":
-        method = "dense" if p <= DENSE_ORACLE_LIMIT else "lowrank"
-    z = rng.standard_normal((n, p))
+    v = rng.standard_normal((n, p))
     if method == "dense":
-        prec = np.diag(diag) + w @ w.T
-        chol = chol_or_raise(0.5 * (prec + prec.T), "belief precision")
-        # x = mean + L^-T z  has covariance (L L^T)^-1
-        import scipy.linalg as sla
-
-        draws = sla.solve_triangular(chol.T, z.T, lower=False).T
-        return mean + draws
+        chol = chol_or_raise(dlr_to_dense(belief).precision, "belief precision")
+        return mean + np.linalg.solve(chol.T, v.T).T  # covariance (L L^T)^-1
     if method != "lowrank":
         raise ValueError(f"unknown sampling method {method!r}")
-    if np.any(diag <= 0):
+    if not diag.min() > 0:
         raise NumericalDegeneracyError("non-positive diagonal precision")
     d_isqrt = 1.0 / np.sqrt(diag)
-    if w.shape[1] == 0:
-        return mean + z * d_isqrt
-    # Precision = D^1/2 (I + M M^T) D^1/2 with M = D^-1/2 W, so with
-    # M = Q diag(s) V^T the covariance square root is
-    # D^-1/2 (I - Q diag(1 - 1/sqrt(1+s^2)) Q^T).
-    m = d_isqrt[:, None] * w
-    s, q = thin_svd(m)
-    shrink = 1.0 - 1.0 / np.sqrt(1.0 + s**2)
-    proj = z @ q
-    draws = (z - (proj * shrink) @ q.T) * d_isqrt
-    return mean + draws
+    if rank:
+        m = w * d_isqrt[:, None]
+        core = m.T @ m
+        core.flat[:: rank + 1] += 1.0
+        try:
+            coef = np.linalg.solve(core, (rng.standard_normal((n, rank)) - v @ m).T)
+            if not np.isfinite(coef).all():
+                raise np.linalg.LinAlgError("non-finite solution")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDegeneracyError(f"sampler core I + M^T M: {exc}") from exc
+        v += coef.T @ m.T
+    v *= d_isqrt
+    v += mean
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,7 @@ from .learners import REGISTRY
 
 def _cmd_run(args):
     cfg = parse_config(args.config)
-    try:
-        status = run_experiment(cfg)
-    except ConfigError as exc:
-        for p in exc.problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return 1
+    status = run_experiment(cfg)
     for seed in status["completed"]:
         print(f"seed {seed}: ok")
     for seed, err in sorted(status["failed"].items()):
@@ -62,13 +57,7 @@ def _cmd_bandit(args):
 
 
 def _cmd_validate(args):
-    try:
-        cfg = parse_config(args.config)
-    except ConfigError as exc:
-        for p in exc.problems:
-            print(p)
-        return 1
-    problems = validate_config(cfg)
+    problems = validate_config(parse_config(args.config))
     if problems:
         for p in problems:
             print(p)
@@ -98,7 +87,12 @@ def main(argv=None):
             p.add_argument("config")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        for p in exc.problems:
+            print(f"config error: {p}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

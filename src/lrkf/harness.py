@@ -74,19 +74,20 @@ _FLOAT_KEYS = {
 _INT_KEYS = {
     "rank", "buffer_size", "inner_iters", "iterations", "linesearch_grid",
     "num_tasks", "steps_per_task", "steps", "in_dim", "num_classes",
-    "split_seed", "budget", "actions", "nlpd_samples",
+    "split_seed", "seed", "budget", "actions", "nlpd_samples", "passes",
 }
 _BOOL_KEYS = {"steady_state", "standardize"}
 
 
 def _coerce(key, value):
+    """Typed value of one key; raises KeyError or ValueError if it does not parse."""
     if key in _FLOAT_KEYS:
         return float(value)
     if key in _INT_KEYS:
         return int(value)
     if key in _BOOL_KEYS:
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    return value
+        return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
+    return [int(tok) for tok in value.split()] if key == "seeds" else value
 
 
 @dataclass
@@ -114,8 +115,16 @@ def parse_config(path):
     if not read:
         raise ConfigError([f"config file not found: {path}"])
 
+    problems = []
+
     def section(name):
-        return {k: _coerce(k, v) for k, v in parser[name].items()} if parser.has_section(name) else {}
+        values = {}
+        for key, text in parser[name].items() if parser.has_section(name) else ():
+            try:
+                values[key] = _coerce(key, text)
+            except (KeyError, ValueError):
+                problems.append(f"{name}.{key}: cannot parse {text!r}")
+        return values
 
     exp = section("experiment")
     method = section("method")
@@ -124,14 +133,16 @@ def parse_config(path):
         method_params=method,
         stream=section("stream"),
         model=section("model"),
-        seeds=[int(s) for s in str(exp.get("seeds", "0")).split()],
-        passes=int(exp.get("passes", 1)),
+        seeds=exp.get("seeds", [0]),
+        passes=exp.get("passes", 1),
         metrics=tuple(str(exp.get("metrics", "rmse")).split()),
         output=str(exp.get("output", "out")),
-        nlpd_samples=int(exp.get("nlpd_samples", 100)),
+        nlpd_samples=exp.get("nlpd_samples", 100),
         tune=section("tune"),
         bandit=section("bandit"),
     )
+    if problems:
+        raise ConfigError(problems)
     return cfg
 
 

@@ -6,9 +6,9 @@ approximate ``p(y | x, data so far)`` at increasing fidelity:
 * :func:`plugin_predict` plugs in the posterior mean (no parameter
   uncertainty). Its negative log score is the NLL.
 * :func:`mc_predict` marginalizes the parameters by Monte Carlo; its
-  negative log score is the NLPD. The S draws are scored in one batched
-  forward call (``theta`` of shape (S, P)), so it costs one network pass
-  over S draws and O(S P) memory.
+  negative log score is the NLPD. The perturb-and-solve sampler draws
+  S parameter vectors in O(S P L + P L^2), and one batched forward call
+  (``theta`` of shape (S, P)) scores them in O(S P) memory.
 * :func:`gaussian_predict` is the closed form for linearized regression,
   ``V = H Sigma H^T + R`` computed by the Woodbury identity in O(P L^2).
 * :func:`probit_predict` is a deterministic classification approximation
@@ -19,7 +19,6 @@ approximate ``p(y | x, data so far)`` at increasing fidelity:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .belief import _dlr_parts, sample_parameters
 from .models import softmax
@@ -81,11 +80,12 @@ def plugin_predict(belief, model, x):
 def mc_predict(belief, model, x, y, n_samples, rng_seed, temperature=1.0):
     """Monte Carlo NLPD: ``-log mean_s p(y | x, theta_s)``.
 
-    All S draws go through one batched ``model.forward`` call and their
-    log-likelihoods are computed as one array; for a Gaussian family the
-    residuals are whitened together against the family's fixed factor.
-    ``temperature`` scales the parameter covariance before sampling;
-    0 short-circuits to the plugin NLL.
+    The S draws (perturb-and-solve, O(S P L + P L^2) for every P) go
+    through one batched ``model.forward`` call and their log-likelihoods
+    are computed as one array; for a Gaussian family the residuals are
+    whitened together against the family's fixed factor. ``temperature``
+    scales the parameter covariance before sampling; 0 short-circuits to
+    the plugin NLL.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -101,7 +101,10 @@ def mc_predict(belief, model, x, y, n_samples, rng_seed, temperature=1.0):
     else:
         resid = np.atleast_1d(np.asarray(y, dtype=float)) - out
         logs = gaussian_log_density(resid, family.obs_chol(out.shape[-1]))
-    return float(-(logsumexp(logs) - np.log(n_samples)))
+    top = logs.max()  # shift by the largest; -inf, +inf or NaN decides alone
+    if not np.isfinite(top):
+        return -float(top)
+    return -float(top + np.log(np.exp(logs - top).sum() / n_samples))
 
 
 def _marginal_quadratic(belief, rows):

@@ -122,7 +122,10 @@ def update_svd(belief_pred, lin, y, cfg):
     lam = s[:rank]
     live = u[:, :rank][:, lam > 0]
     basis = complete_basis(live, belief_pred.basis, rank)
-    return SphericalBelief(mean, belief_pred.eta, basis, lam)
+    try:  # the constructor checks orthonormality; a lost one fails this step
+        return SphericalBelief(mean, belief_pred.eta, basis, lam)
+    except ValueError as exc:
+        raise NumericalDegeneracyError(f"spherical update_svd: {exc}") from exc
 
 
 def svd_orth(lam, basis, jacobian, whitener, rng_seed):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ class TestSampling:
         p = 200_000
         rng = np.random.default_rng(0)
         b = DlrBelief(np.zeros(p), np.ones(p), 0.1 * rng.standard_normal((p, 2)))
-        draws = sample_parameters(b, 3, rng_seed=1, method="lowrank")
+        draws = sample_parameters(b, 3, rng_seed=1)
         assert draws.shape == (3, p)
         assert np.all(np.isfinite(draws))
 
@@ -136,6 +138,63 @@ class TestSampling:
         b = DlrBelief(np.zeros(2), np.full(2, 1e-20), np.full((2, 1), 1e10))
         with pytest.raises(NumericalDegeneracyError):
             sample_parameters(b, 1, rng_seed=0, method="dense")
+
+
+def _projected_cov_gap(draws, mean, dirs, target):
+    """Largest gap between the sample and target covariance of the
+    projections ``(draws - mean) @ dirs``, each entry scaled by the target
+    standard deviations of its pair (a correlation-sized error)."""
+    proj = (draws - mean) @ dirs
+    sample = proj.T @ proj / proj.shape[0]
+    sd = np.sqrt(np.diag(target))
+    return np.max(np.abs(sample - target) / np.outer(sd, sd))
+
+
+class TestPerturbAndSolveSampler:
+    """The default sampler against the dense inverse, on fixed directions."""
+
+    @pytest.mark.parametrize("p", [151, 229])  # both sides of DENSE_ORACLE_LIMIT
+    def test_projected_covariance_matches_dense_inverse(self, p):
+        b = random_dlr(p, 6, seed=p, factor_scale=0.6)
+        rng = np.random.default_rng(1)
+        # the factor's own columns carry the largest variance reduction
+        dirs = np.hstack([b.low_rank, rng.standard_normal((p, 3))])
+        target = dirs.T @ np.linalg.inv(dlr_to_dense(b, limit=p).precision) @ dirs
+        draws = sample_parameters(b, 20_000, rng_seed=[p, 2])
+        assert _projected_cov_gap(draws, b.mean, dirs, target) < 0.05
+
+    def test_ill_conditioned_factor(self):
+        # M = D^-1/2 W has singular values from 1 to 1e6, so the whitened
+        # variances along its left singular vectors run from 1/2 to 1e-12
+        p, rank = 300, 6
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((p, rank + 2)))
+        v, _ = np.linalg.qr(rng.standard_normal((rank, rank)))
+        s = np.logspace(0, 6, rank)
+        diag = rng.uniform(0.5, 2.0, p)
+        w = np.sqrt(diag)[:, None] * ((q[:, :rank] * s) @ v.T)
+        b = DlrBelief(rng.standard_normal(p), diag, w)
+        # whitened directions: the singular vectors and two orthogonal to them
+        dirs = np.sqrt(diag)[:, None] * q
+        target = np.diag(np.concatenate([1.0 / (1.0 + s**2), [1.0, 1.0]]))
+        draws = sample_parameters(b, 20_000, rng_seed=5)
+        assert _projected_cov_gap(draws, b.mean, dirs, target) < 0.05
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_non_positive_diagonal_raises(self, bad):
+        # the belief types reject this on construction; the sampler checks again
+        b = SimpleNamespace(mean=np.zeros(2), diag_precision=np.array([1.0, bad]),
+                            low_rank=np.ones((2, 1)))
+        with pytest.raises(NumericalDegeneracyError, match="diagonal"):
+            sample_parameters(b, 1, rng_seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_failed_core_solve_raises(self, bad):
+        low = np.ones((3, 2))
+        low[1, 0] = bad
+        b = DlrBelief(np.zeros(3), np.ones(3), low)
+        with pytest.raises(NumericalDegeneracyError, match="sampler core"):
+            sample_parameters(b, 4, rng_seed=0)
 
 
 class TestCheckpointing:

@@ -278,20 +278,26 @@ def test_initial_belief_layout():
 
 def test_predict_cost_scales_with_rank_squared():
     # coarse wall-clock check, not a hard bound: doubling L at fixed P
-    # should make predict markedly slower
+    # should make predict markedly slower. The two ranks are timed in
+    # turn and each keeps its fastest repeat, so a burst of load from
+    # another process slows both or is discarded.
     import time
 
     p = 60_000
     rng = np.random.default_rng(0)
+    cases = {
+        rank: (DlrBelief(np.zeros(p), np.ones(p), rng.standard_normal((p, rank))),
+               LowRankConfig(rank=rank, dynamics=DynamicsConfig(0.99, 0.01)))
+        for rank in (16, 32)
+    }
+    best = dict.fromkeys(cases, np.inf)
+    for _ in range(5):
+        for rank, (b, cfg) in cases.items():
+            start = time.perf_counter()
+            for _ in range(5):
+                predict(b, cfg)
+            best[rank] = min(best[rank], time.perf_counter() - start)
 
-    def timed(rank):
-        b = DlrBelief(np.zeros(p), np.ones(p), rng.standard_normal((p, rank)))
-        cfg = LowRankConfig(rank=rank, dynamics=DynamicsConfig(0.99, 0.01))
-        start = time.perf_counter()
-        for _ in range(5):
-            predict(b, cfg)
-        return time.perf_counter() - start
-
-    t1, t2 = timed(16), timed(32)
+    t1, t2 = best[16], best[32]
     print(f"predict time L=16: {t1:.4f}s, L=32: {t2:.4f}s, ratio {t2 / t1:.2f}")
     assert t2 > t1  # directional only; the ~4x factor is printed above

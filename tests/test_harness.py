@@ -110,6 +110,42 @@ class TestParsingAndValidation:
         assert any(p.startswith("method.inflation:") and tag in p for p in problems)
         assert any(p.startswith("method.inflation_alpha:") and tag in p for p in problems)
 
+    @pytest.mark.parametrize("section, line, bad", [
+        ("method", "rank = 3", "rank = ten"),
+        ("method", "process_noise = 1e-4", "process_noise = small"),
+        ("method", "rank = 3", "rank = 3\nsteady_state = maybe"),
+        ("stream", "num_tasks = 2", "num_tasks = 2.5"),
+        ("experiment", "seeds = 0 1", "seeds = 0 one"),
+        ("experiment", "seeds = 0 1", "seeds = 0 1\npasses = two"),
+    ])
+    def test_unparseable_value_is_named(self, section, line, bad, tmp_path, capsys):
+        text = BASIC.format(out=tmp_path / "o").replace(line, bad)
+        key = bad.split("\n")[-1].split(" = ")[0]
+        path = write_config(tmp_path / "c.ini", text)
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert [p.split(":")[0] for p in info.value.problems] == [f"{section}.{key}"]
+        for verb in ("validate", "run", "bandit", "tune"):
+            assert main([verb, path]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: ")
+
+    def test_every_unparseable_value_is_reported(self, tmp_path):
+        text = BASIC.format(out=tmp_path / "o").replace("rank = 3", "rank = ten")
+        text = text.replace("gamma = 1.0", "gamma = one")
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path / "c.ini", text))
+        assert len(info.value.problems) == 2
+
+    @pytest.mark.parametrize("word, value", [("yes", True), ("Off", False), ("1", True)])
+    def test_boolean_words(self, word, value, tmp_path):
+        text = BASIC.format(out=tmp_path / "o").replace("rank = 3", f"rank = 3\nsteady_state = {word}")
+        assert parse_config(write_config(tmp_path / "c.ini", text)).method_params["steady_state"] is value
+
+    def test_tune_seed_is_an_integer(self, tmp_path):
+        # read as the string "3" before, which the random generator rejects
+        text = BASIC.format(out=tmp_path / "o") + "\n[tune]\nseed = 3\n"
+        assert parse_config(write_config(tmp_path / "c.ini", text)).tune["seed"] == 3
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.ini")
@@ -169,6 +205,39 @@ class TestRunExperiment:
         assert status["completed"] == [0]
         assert 1 in status["failed"]
         assert (tmp_path / "o" / "failures.txt").exists()
+
+    def test_lost_spherical_orthonormality_fails_only_that_seed(self, tmp_path):
+        # this categorical stream drives update_svd's basis past the 1e-8
+        # orthonormality bound; the seed is recorded as failed, no traceback
+        text = """
+[experiment]
+seeds = 0
+metrics = nll misclass
+output = {out}
+
+[model]
+hidden = 16
+activation = tanh
+family = categorical
+
+[method]
+name = lrekf_spherical
+rank = 5
+initial_precision = 5
+process_noise = 1e-4
+
+[stream]
+kind = synthetic_classification
+in_dim = 4
+num_classes = 3
+steps = 400
+""".format(out=tmp_path / "o")
+        status = run_experiment(parse_config(write_config(tmp_path / "c.ini", text)))
+        assert status["completed"] == []
+        assert status["failed"][0].startswith(
+            "NumericalDegeneracyError: spherical update_svd: basis columns are not orthonormal"
+        )
+        assert "seed 0: NumericalDegeneracyError" in (tmp_path / "o" / "failures.txt").read_text()
 
     def test_invalid_config_raises_config_error(self, tmp_path):
         text = BASIC.format(out=tmp_path / "o").replace("name = lrekf", "name = zzz")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrkf import diagonal
+from lrkf import belief, diagonal, linalg, spherical
 from lrkf.bandit import FilterBanditAgent, env_from_stream, run_bandit
 from lrkf.learners import build_learner
 from lrkf.models import CategoricalFamily, GaussianFamily, MlpModel, MlpSpec
@@ -126,3 +126,22 @@ def test_bandit_runs_two_mlp_passes_per_step(count_mlp_passes):
     agent = FilterBanditAgent(build_learner("lrekf", model, PARAMS, seed=0))
     run_bandit(env, agent, "thompson", 40, seed=0)
     assert count_mlp_passes == {"forward": 40, "passes": 80}
+
+
+def test_bandit_runs_one_thin_svd_per_step(monkeypatch):
+    # bandit.ini's size, P = 229: the Thompson draw takes no SVD, so the
+    # masked update's truncation is the only one
+    calls = []
+
+    def counting(w):
+        calls.append(w.shape)
+        return linalg.thin_svd(w)
+
+    for module in (belief, diagonal, spherical):
+        monkeypatch.setattr(module, "thin_svd", counting)
+    events = gen_synthetic_classification(25, in_dim=8, num_classes=5, seed=0)
+    model = MlpModel(MlpSpec((8, 16, 5)), GaussianFamily(0.25))
+    assert model.parameter_count == 229
+    agent = FilterBanditAgent(build_learner("lrekf", model, PARAMS, seed=0))
+    run_bandit(env_from_stream(events, 5), agent, "thompson", 25, seed=0)
+    assert len(calls) == 25

@@ -175,6 +175,38 @@ class TestBatchedMonteCarlo:
         assert mc_predict(belief, model, x, 0, 16, 0) == nlpd
 
 
+class TestLogMeanExp:
+    """mc_predict's max-shifted log-mean-exp; scipy's logsumexp is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    @pytest.mark.parametrize("obs_variance", [1e-4, 1.0, 1e3])
+    def test_matches_scipy(self, n, obs_variance):
+        # at the smallest variance the log-likelihoods sit thousands of nats
+        # below zero, where an unshifted sum of exponentials underflows to 0
+        model = FunctionModel(
+            lambda x, th: np.array([th @ x]),
+            lambda x, th: np.asarray(x).reshape(1, -1),
+            GaussianFamily(obs_variance),
+            parameter_count=2,
+        )
+        belief = random_dlr(2, 1, seed=n)
+        x, y = np.array([0.7, -0.4]), np.array([2.5])
+        for seed in range(3):
+            got = mc_predict(belief, model, x, y, n, seed)
+            ref = TestBatchedMonteCarlo._per_draw_nlpd(belief, model, x, y, n, seed)
+            assert np.isfinite(got) and abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_zero_likelihood_under_every_draw_gives_inf(self):
+        # class 1 has probability exactly 0 under every draw
+        model = MlpModel(MlpSpec((2, 3)), CategoricalFamily())
+        theta = np.zeros(model.parameter_count)
+        theta[0] = 1000.0
+        belief = DlrBelief(theta, np.full(theta.shape[0], 1e6), np.zeros((theta.shape[0], 0)))
+        with np.errstate(divide="ignore"):
+            assert mc_predict(belief, model, np.array([1.0, 0.0]), 1, 16, 0) == np.inf
+            assert logsumexp(np.full(16, -np.inf)) == -np.inf  # the same answer
+
+
 class TestGaussianPredict:
     def test_zero_jacobian_returns_observation_noise(self):
         b = random_dlr(4, 2, seed=1)

@@ -13,6 +13,11 @@
   relinearize the observation several times within one update, each mean
   move scaled by a grid line search on the quadratic energy
   ``0.5 * ||whitened residual||^2``.
+
+Every update checks its innovation with ``Linearization.innovation``; the
+iterated low-rank update steps by :func:`~lrkf.linalg.woodbury_mean` and
+ends in :func:`~lrkf.spherical.truncate`. The FCEKF Cholesky solve and the
+diagonal EKFs' pinv gain form stay separate as references for that core.
 """
 
 from collections import deque
@@ -21,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .belief import DenseBelief, SphericalBelief
+from .belief import DenseBelief
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise, symmetrize, thin_svd
+from .linalg import chol_or_raise, symmetrize, woodbury_mean
 from .models import linearize, softmax
-from .spherical import complete_basis
+from .spherical import truncate
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,7 @@ def dense_predict(belief, dyn):
 
 def dense_update(belief_pred, lin, y):
     """Precision += H^T R^-1 H; mean += Sigma* H^T R^-1 e."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    innov = y - lin.y_hat
+    innov = lin.innovation(y)
     wh = lin.whitener @ lin.jacobian
     prec = symmetrize(belief_pred.precision + wh.T @ wh)
     chol = chol_or_raise(prec, "posterior precision")
@@ -96,10 +100,7 @@ def diagonal_predict(belief, dyn):
 
 def _diagonal_mean_update(belief_pred, lin, y):
     """Gain form K = Ups^-1 H^T (H Ups^-1 H^T + R)^+ shared by both filters."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    innov = y - lin.y_hat
-    if not np.all(np.isfinite(innov)):
-        raise NumericalDegeneracyError(f"non-finite innovation {innov}")
+    innov = lin.innovation(y)
     var = 1.0 / belief_pred.diag_precision
     cross = var[:, None] * lin.jacobian.T  # Ups^-1 H^T, (P, C)
     s = lin.jacobian @ cross + lin.obs_cov
@@ -265,10 +266,11 @@ def iterated_ekf_update(belief_pred, model, x, y, icfg):
     for i in range(icfg.num_iters):
         lin = linearize(model, x, mu) if i else lin0
         jac = lin.jacobian
+        # innovation of the model linearized at mu, read at mu_pred
+        innov = lin.innovation(y) - jac @ (mu_pred - mu)
         s = jac @ cov @ jac.T + lin.obs_cov
         gain = cov @ jac.T @ np.linalg.pinv(symmetrize(s), hermitian=True)
-        y_lin = lin.y_hat + jac @ (mu_pred - mu)
-        delta = mu_pred - mu + gain @ (y - y_lin)
+        delta = mu_pred - mu + gain @ innov
         alpha = _linesearch(cost, cost(mu), delta, mu, icfg.linesearch_grid)
         mu = mu + alpha * delta
     wh = lin.whitener @ lin.jacobian
@@ -279,10 +281,11 @@ def iterated_ekf_update(belief_pred, model, x, y, icfg):
 def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank=None):
     """Iterated update for the spherical low-rank filter.
 
-    Each pass rebuilds the extended factor from the predicted basis, takes
-    its thin SVD, forms the diagonalized gain, and line-searches the mean
-    step. The new basis keeps the top-L pairs of the last pass; ``eta``
-    is untouched.
+    Each pass rebuilds the extended factor from the predicted basis,
+    moves the mean by the Woodbury solve of the diagonal filter and
+    line-searches that step. After the last pass the extended factor is
+    truncated once to the top-L pairs (:func:`lrkf.spherical.truncate`);
+    ``eta`` is untouched.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if rank is None:
@@ -301,18 +304,12 @@ def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank=None):
         return 0.5 * (r_obs @ r_obs + r_prior)
 
     mu = mu_pred
-    s = u = None
     for i in range(icfg.num_iters):
         lin = linearize(model, x, mu) if i else lin0
         jac = lin.jacobian
+        innov = lin.innovation(y) - jac @ (mu_pred - mu)
         w_ext = np.hstack([w_prior, jac.T @ lin.whitener.T])
-        s, u = thin_svd(w_ext)
-        gains = s**2 / (eta * (eta + s**2))
-        c_vec = jac.T @ lin.apply_r_inv(y - (lin.y_hat + jac @ (mu_pred - mu)))
-        gain_innov = c_vec / eta - u @ (gains * (u.T @ c_vec))
-        delta = mu_pred - mu + gain_innov
+        delta = woodbury_mean(mu_pred - mu, eta, w_ext, jac.T @ lin.apply_r_inv(innov))
         alpha = _linesearch(cost, cost(mu), delta, mu, icfg.linesearch_grid)
         mu = mu + alpha * delta
-    lam = s[:rank]
-    basis = complete_basis(u[:, :rank][:, lam > 0], belief_pred.basis, rank)
-    return SphericalBelief(mu, eta, basis, lam)
+    return truncate(mu, eta, w_ext, belief_pred.basis, rank, "iterated_lowrank_update")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise, thin_svd
+from .linalg import chol_or_raise
 
 # Largest P for which dense P x P reconstructions are allowed: the dense
 # conversions and the dense sampling oracle. No production path uses them.
@@ -224,9 +224,6 @@ def load_belief(path):
     w = rec[3 + 2 * p :].reshape(p, rank)
     if kind == 0:
         return DlrBelief(mean, diag, w)
-    s, u = thin_svd(w)
-    s, u = s[:rank], u[:, :rank]
-    from .spherical import complete_basis  # deferred: avoids import cycle
+    from .spherical import truncate  # deferred: avoids import cycle
 
-    u = complete_basis(u[:, s > 0], np.zeros((p, 0)), rank)
-    return SphericalBelief(mean, diag[0], u, s)
+    return truncate(mean, diag[0], w, np.zeros((p, 0)), rank, "load_belief")

@@ -8,9 +8,11 @@ The filter alternates two closed-form moves on a :class:`~lrkf.belief.DlrBelief`
 * :func:`update` conditions on one observation through a linearized
   likelihood. The whitened Jacobian is appended to the low-rank factor,
   acting as a generalized memory buffer of gradient embeddings, the mean
-  moves by the Woodbury form of the Kalman correction, and a truncated SVD
-  projects the factor back to rank L. Whatever the truncation discards is
-  folded into the diagonal so the diagonal of the precision stays exact.
+  moves by the Woodbury form of the Kalman correction
+  (:func:`~lrkf.linalg.woodbury_mean`, after the finite check of
+  ``Linearization.innovation``), and a truncated SVD projects the factor
+  back to rank L. Whatever the truncation discards is folded into the
+  diagonal so the diagonal of the precision stays exact.
   Cost O(P (L + C)^2).
 
 With rank L = 0 the recursion collapses to a variational diagonal EKF;
@@ -23,7 +25,7 @@ import numpy as np
 
 from .belief import DlrBelief
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise, symmetrize, thin_svd
+from .linalg import chol_or_raise, symmetrize, thin_svd, woodbury_mean
 from .models import initialize_mean, linearize
 
 
@@ -114,23 +116,10 @@ def update(belief_pred, lin, y, cfg):
     ``cfg.rank`` and adds the discarded rows' squares to the diagonal,
     keeping ``diag`` of the precision exact.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    innov = y - lin.y_hat
-    if not np.all(np.isfinite(innov)):
-        raise NumericalDegeneracyError(f"non-finite innovation {innov}")
+    innov = lin.innovation(y)
     ups = belief_pred.diag_precision
     w_ext = np.hstack([belief_pred.low_rank, lin.jacobian.T @ lin.whitener.T])
-
-    # Mean: mu + (Ups^-1 - Ups^-1 Wt G Wt^T Ups^-1) H^T R^-1 e  (Woodbury)
-    c_vec = lin.jacobian.T @ lin.apply_r_inv(innov)
-    ups_inv = 1.0 / ups
-    scaled = ups_inv[:, None] * w_ext
-    gram = np.eye(w_ext.shape[1]) + w_ext.T @ scaled
-    try:
-        rhs = np.linalg.solve(gram, scaled.T @ c_vec)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"update core solve failed: {exc}") from exc
-    mean = belief_pred.mean + ups_inv * c_vec - scaled @ rhs
+    mean = woodbury_mean(belief_pred.mean, ups, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
 
     s, u = thin_svd(w_ext)
     rank = cfg.rank

@@ -35,11 +35,11 @@ import configparser
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adaptive import DEFAULT_SPACE, HyperRange, random_search_tune
+from .adaptive import DEFAULT_SPACE, random_search_tune
 from .exceptions import ConfigError, NumericalDegeneracyError
 from .learners import INFLATED_METHODS, REGISTRY, build_learner
 from .models import CategoricalFamily, GaussianFamily, MlpModel, MlpSpec
@@ -78,6 +78,25 @@ _INT_KEYS = {
 }
 _BOOL_KEYS = {"steady_state", "standardize"}
 
+# the keys each section accepts; [tune] also takes ``space_<param> = lo hi``
+# for each tunable param
+_SECTION_KEYS = {name: set(keys.split()) for name, keys in {
+    "experiment": "seeds passes metrics output nlpd_samples",
+    "model": "hidden activation family obs_variance",
+    "method": "name rank gamma process_noise initial_precision steady_state inflation "
+              "inflation_alpha update iterations linesearch_grid buffer_size optimizer lr "
+              "inner_iters",
+    "stream": "kind num_tasks steps_per_task noise_sd steps amplitude_growth in_dim "
+              "num_classes margin_noise path target standardize split_seed test_fraction",
+    "tune": "budget steps seed objective " + " ".join(f"space_{k}" for k in DEFAULT_SPACE),
+    "bandit": "actions steps policy epsilon reward_variance",
+}.items()}
+
+# methods the bandit loop can drive: a masked filter update or a point estimate
+BANDIT_METHODS = ("lrekf", "lrekf_spherical", "fcekf", "sgd_rb", "ogd")
+# methods without a posterior the sampler can draw from (nlpd, thompson)
+UNSAMPLED_METHODS = ("sgd_rb", "ogd", "fcekf", "iekf")
+
 
 def _coerce(key, value):
     """Typed value of one key; raises KeyError or ValueError if it does not parse."""
@@ -87,6 +106,9 @@ def _coerce(key, value):
         return int(value)
     if key in _BOOL_KEYS:
         return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
+    if key.startswith("space_"):
+        lo, hi = (float(tok) for tok in value.split())  # exactly two numbers
+        return lo, hi
     return [int(tok) for tok in value.split()] if key == "seeds" else value
 
 
@@ -115,15 +137,23 @@ def parse_config(path):
     if not read:
         raise ConfigError([f"config file not found: {path}"])
 
-    problems = []
+    problems = [
+        f"{name}: unknown section; valid: {', '.join(_SECTION_KEYS)}"
+        for name in parser.sections() if name not in _SECTION_KEYS
+    ]
 
     def section(name):
         values = {}
+        known = _SECTION_KEYS[name]
         for key, text in parser[name].items() if parser.has_section(name) else ():
+            if key not in known:
+                problems.append(f"{name}.{key}: unknown key; valid: {', '.join(sorted(known))}")
+                continue
             try:
                 values[key] = _coerce(key, text)
             except (KeyError, ValueError):
-                problems.append(f"{name}.{key}: cannot parse {text!r}")
+                hint = " as two numbers 'lo hi'" if key.startswith("space_") else ""
+                problems.append(f"{name}.{key}: cannot parse {text!r}{hint}")
         return values
 
     exp = section("experiment")
@@ -185,7 +215,7 @@ def validate_config(cfg):
         problems.append("experiment.metrics: misclass is a classification metric")
     if cfg.nlpd_samples < 1:
         problems.append("experiment.nlpd_samples: must be >= 1")
-    if "nlpd" in cfg.metrics and cfg.method in ("sgd_rb", "ogd", "fcekf", "iekf"):
+    if "nlpd" in cfg.metrics and cfg.method in UNSAMPLED_METHODS:
         problems.append(
             "experiment.metrics: nlpd needs a low-rank or diagonal posterior to sample; "
             f"{cfg.method} has none"
@@ -203,6 +233,10 @@ def validate_config(cfg):
     rank = cfg.method_params.get("rank")
     if rank is not None and rank < 0:
         problems.append("method.rank: must be >= 0")
+    for key, rng in _tune_space(cfg).items():
+        if not rng.low <= rng.high or (rng.log and not rng.low > 0):
+            log = " and lo > 0 (log scale)" if rng.log else ""
+            problems.append(f"tune.space_{key}: need lo <= hi{log}")
     return problems
 
 
@@ -355,15 +389,12 @@ def run_experiment(cfg):
 # ---------------------------------------------------------------------------
 
 def _tune_space(cfg):
-    space = {}
-    for key, rng_range in DEFAULT_SPACE.items():
-        lohi = cfg.tune.get(f"space_{key}")
-        if lohi is not None:
-            lo, hi = (float(tok) for tok in str(lohi).split())
-            space[key] = HyperRange(lo, hi, log=rng_range.log,
-                                    atom=rng_range.atom, atom_prob=rng_range.atom_prob)
-        else:
-            space[key] = rng_range
+    """DEFAULT_SPACE with the ``space_<param> = lo hi`` bounds of the config."""
+    space = {
+        key: replace(default, low=lo, high=hi)
+        for key, default in DEFAULT_SPACE.items()
+        for lo, hi in [cfg.tune.get(f"space_{key}", (default.low, default.high))]
+    }
     if cfg.model.get("family", "gaussian") == "categorical":
         space.pop("obs_variance", None)
     return space
@@ -377,6 +408,9 @@ def tune_experiment(cfg):
     prefix when ``objective = validation_nll``. The final test stream is
     never touched here.
     """
+    problems = validate_config(cfg)
+    if problems:
+        raise ConfigError(problems)
     budget = cfg.tune.get("budget", 20)
     steps = cfg.tune.get("steps", 500)
     seed = cfg.tune.get("seed", 0)
@@ -435,11 +469,14 @@ def run_bandit_experiment(cfg):
     policy = b.get("policy", "thompson")
     epsilon = b.get("epsilon", 0.1)
     reward_variance = b.get("reward_variance", 0.25)
-    if cfg.method in ("iekf", "ilrekf"):
+    if cfg.method not in BANDIT_METHODS:
         raise ConfigError(
-            ["method.name: iterated methods have no masked bandit update; "
-             "use lrekf, lrekf_spherical, fcekf, vdekf, fdekf, sgd_rb, or ogd"]
+            [f"method.name: lrkf bandit does not support {cfg.method!r}; "
+             f"supported: {', '.join(BANDIT_METHODS)}"]
         )
+    if policy == "thompson" and cfg.method in UNSAMPLED_METHODS:
+        raise ConfigError([f"bandit.policy: thompson needs a posterior to sample; "
+                           f"{cfg.method} has none, use epsilon_greedy"])
     os.makedirs(cfg.output, exist_ok=True)
 
     merged = []

@@ -18,12 +18,12 @@ evolves as ``eta_t^-1 = gamma^2 eta_{t-1}^-1 + q`` alongside the running
 product ``Gamma_t = prod gamma_i``; :class:`LatentPrior` tracks both.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .belief import DlrBelief, SphericalBelief
-from .linalg import solve_diag_plus_lowrank
+from .linalg import woodbury_mean
 
 VARIANTS = ("none", "bayesian", "simple", "hybrid")
 
@@ -42,10 +42,6 @@ class InflationConfig:
             raise ValueError("alpha must be >= 0")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-
-    def advanced(self, gamma):
-        """Copy with the running gamma product moved one step forward."""
-        return replace(self, gamma_product=self.gamma_product * gamma)
 
 
 @dataclass
@@ -80,9 +76,8 @@ def inflate_dlr(belief, cfg, eta_latent):
     if cfg.prior_mean_ref is None:
         raise ValueError("bayesian inflation needs prior_mean_ref")
     target = cfg.gamma_product * np.asarray(cfg.prior_mean_ref, dtype=float)
-    pull = solve_diag_plus_lowrank(diag, w, target - belief.mean)
-    mean = belief.mean + (a * eta_latent * shrink) * pull
-    return DlrBelief(mean, diag, w)
+    rhs = (a * eta_latent * shrink) * (target - belief.mean)
+    return DlrBelief(woodbury_mean(belief.mean, diag, w, rhs), diag, w)
 
 
 def inflate_spherical(belief, cfg):
@@ -100,16 +95,11 @@ def inflate_spherical(belief, cfg):
         return SphericalBelief(belief.mean, belief.eta / (1.0 + a), belief.basis, lam)
     if cfg.variant == "hybrid":
         return SphericalBelief(belief.mean, belief.eta, belief.basis, lam)
-    # bayesian, with the diagonalized solve for the mean pull
+    # bayesian: the pull solves against eta I + U diag(lam)^2 U^T
     if cfg.prior_mean_ref is None:
         raise ValueError("bayesian inflation needs prior_mean_ref")
     eta = belief.eta
     target = cfg.gamma_product * np.asarray(cfg.prior_mean_ref, dtype=float)
-    v = target - belief.mean
-    if lam.size:
-        gains = lam**2 / (eta * (eta + lam**2))
-        pull = v / eta - belief.basis @ (gains * (belief.basis.T @ v))
-    else:
-        pull = v / eta
-    mean = belief.mean + (a * eta / (1.0 + a)) * pull
-    return SphericalBelief(mean, eta, belief.basis, lam)
+    rhs = (a * eta / (1.0 + a)) * (target - belief.mean)
+    return SphericalBelief(woodbury_mean(belief.mean, eta, belief.basis * lam, rhs), eta,
+                           belief.basis, lam)

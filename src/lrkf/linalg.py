@@ -1,8 +1,9 @@
 """Low-rank linear algebra helpers used by the filters.
 
 Everything here works on plain float64 ndarrays and avoids forming any
-P x P matrix. The deterministic sign and tie conventions make filter
-trajectories reproducible run to run.
+P x P matrix. :func:`woodbury_mean` is the one mean solve of every
+low-rank update and of inflation. The deterministic sign and tie
+conventions make filter trajectories reproducible run to run.
 """
 
 import numpy as np
@@ -90,19 +91,21 @@ def thin_svd(w):
     return s, fix_column_signs(u)
 
 
-def solve_diag_plus_lowrank(diag, w, rhs):
-    """Solve ``(np.diag(diag) + w @ w.T) x = rhs`` in O(P L^2).
+def woodbury_mean(mean, diag, w, rhs):
+    """``mean + (diag(d) + W W^T)^-1 rhs`` in O(P L^2), no P x P matrix.
 
-    ``rhs`` may be a vector of length P or a (P, m) matrix.
+    ``diag`` is a P-vector or the spherical scalar ``eta``; W is P x L, L >= 0.
+    With ``M = d^-1 W`` this is ``mean + d^-1 rhs - M (I + W^T M)^-1 M^T rhs``.
+    A failed L x L core solve raises NumericalDegeneracyError.
     """
-    diag = np.asarray(diag, dtype=float)
-    d_inv = 1.0 / diag
-    x0 = (d_inv * rhs.T).T
-    if w.shape[1] == 0:
-        return x0
-    m = d_inv[:, None] * w
+    d_inv = 1.0 / np.asarray(diag, dtype=float)
+    m = d_inv[..., None] * w
     core = np.eye(w.shape[1]) + w.T @ m
-    return x0 - m @ np.linalg.solve(core, w.T @ x0)
+    try:
+        coef = np.linalg.solve(core, m.T @ rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError(f"Woodbury core solve failed: {exc}") from exc
+    return mean + d_inv * rhs - m @ coef
 
 
 def chol_or_raise(a, what="matrix"):

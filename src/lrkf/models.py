@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .exceptions import NumericalDegeneracyError
 from .linalg import chol_or_raise
 
 # Probabilities are clamped away from exact 0/1 before moment matching so
@@ -115,6 +116,15 @@ class Linearization:
     def apply_r_inv(self, v):
         """R^-1 v (pseudo-inverse when R is singular)."""
         return self.whitener.T @ (self.whitener @ v)
+
+    def innovation(self, y):
+        """``y - y_hat``; raises NumericalDegeneracyError unless every
+        entry is finite. Every filter update checks its innovation here,
+        so a NaN target or a NaN prediction fails the step that met it."""
+        innov = np.atleast_1d(np.asarray(y, dtype=float)) - self.y_hat
+        if not np.all(np.isfinite(innov)):
+            raise NumericalDegeneracyError(f"non-finite innovation {innov}")
+        return innov
 
 
 def softmax(z):

@@ -107,44 +107,33 @@ def mc_predict(belief, model, x, y, n_samples, rng_seed, temperature=1.0):
     return -float(top + np.log(np.exp(logs - top).sum() / n_samples))
 
 
-def _marginal_quadratic(belief, rows):
-    """diag(rows @ Sigma @ rows.T) for Sigma the belief covariance,
-    computed through the Woodbury identity without any P x P matrix."""
+def _projected_cov(belief, rows):
+    """``rows @ Sigma @ rows.T`` for Sigma the belief covariance, computed
+    through the Woodbury identity in O(P L^2) without any P x P matrix."""
     _, diag, w = _dlr_parts(belief)
     d_inv = 1.0 / diag
     base = rows * d_inv[None, :]
-    first = np.einsum("ij,ij->i", base, rows)
-    if w.shape[1] == 0:
-        return first
-    m = base @ w  # (C, L)
-    core = np.eye(w.shape[1]) + (w.T * d_inv) @ w
-    chol = np.linalg.cholesky(0.5 * (core + core.T))
-    half = np.linalg.solve(chol, m.T)
-    return first - np.einsum("ij,ij->j", half, half)
-
-
-def gaussian_predict(belief, lin):
-    """Closed-form predictive moments for linearized regression."""
-    _, diag, w = _dlr_parts(belief)
-    jac = lin.jacobian
-    d_inv = 1.0 / diag
-    base = jac * d_inv[None, :]
-    cov = base @ jac.T
+    cov = base @ rows.T
     if w.shape[1]:
         m = base @ w
         core = np.eye(w.shape[1]) + (w.T * d_inv) @ w
         cov = cov - m @ np.linalg.solve(core, m.T)
-    cov = 0.5 * (cov + cov.T) + lin.obs_cov
-    return GaussianPrediction(lin.y_hat, cov)
+    return cov
+
+
+def gaussian_predict(belief, lin):
+    """Closed-form predictive moments for linearized regression."""
+    cov = _projected_cov(belief, lin.jacobian)
+    return GaussianPrediction(lin.y_hat, 0.5 * (cov + cov.T) + lin.obs_cov)
 
 
 def probit_predict(belief, model, x):
     """Moderated softmax probabilities under parameter uncertainty.
 
-    Uses the logit Jacobian; per-class marginal variances come from the
-    same Woodbury factorization as :func:`gaussian_predict`, never
-    forming the full logit covariance.
+    Uses the logit Jacobian; per-class marginal variances are the
+    diagonal of the C x C projected covariance that
+    :func:`gaussian_predict` also uses, so no P x P matrix is formed.
     """
     logits, jac = model.logit_jacobian(x, belief.mean)
-    var = np.maximum(_marginal_quadratic(belief, jac), 0.0)
+    var = np.maximum(np.diag(_projected_cov(belief, jac)), 0.0)
     return softmax(logits / np.sqrt(1.0 + (np.pi / 8.0) * var))

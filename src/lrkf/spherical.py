@@ -11,6 +11,9 @@ values move, elementwise. The update step offers two flavors:
   swapping out the weakest retained direction when the newcomer carries
   more information. O(P L C), less accurate.
 
+Both move the mean by :func:`~lrkf.linalg.woodbury_mean` with the scalar
+``eta`` as its diagonal. :func:`truncate` also ends the iterated update.
+
 Because any data-driven change to the diagonal would break sphericity,
 ``eta`` evolves only through the drift dynamics.
 """
@@ -19,8 +22,8 @@ import numpy as np
 
 from .belief import SphericalBelief
 from .exceptions import NumericalDegeneracyError
-from .linalg import thin_svd
-from .models import initialize_mean, linearize
+from .linalg import thin_svd, woodbury_mean
+from .models import initialize_mean
 
 
 def complete_basis(u_part, preferred, rank):
@@ -90,42 +93,33 @@ def predict(belief, cfg):
     return SphericalBelief(mean, eta, belief.basis, np.sqrt(lam2_new))
 
 
-def _spherical_mean_update(belief_pred, lin, innov, w_ext):
-    """mu + eta^-1 (I - Wt (eta I + Wt^T Wt)^-1 Wt^T) H^T R^-1 e."""
-    eta = belief_pred.eta
-    c_vec = lin.jacobian.T @ lin.apply_r_inv(innov)
-    if w_ext.shape[1] == 0:
-        return belief_pred.mean + c_vec / eta
-    core = eta * np.eye(w_ext.shape[1]) + w_ext.T @ w_ext
-    correction = w_ext @ np.linalg.solve(core, w_ext.T @ c_vec)
-    return belief_pred.mean + (c_vec - correction) / eta
+def _posterior_mean(belief_pred, lin, y):
+    """Posterior mean, and the extended factor (scaled basis with the
+    whitened Jacobian columns appended) it was solved against."""
+    w = belief_pred.basis * belief_pred.singular_values
+    w_ext = np.hstack([w, lin.jacobian.T @ lin.whitener.T])
+    rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
+    return woodbury_mean(belief_pred.mean, belief_pred.eta, w_ext, rhs), w_ext
 
 
-def _check_innovation(y, lin):
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    innov = y - lin.y_hat
-    if not np.all(np.isfinite(innov)):
-        raise NumericalDegeneracyError(f"non-finite innovation {innov}")
-    return innov
+def truncate(mean, eta, w_ext, preferred, rank, what):
+    """Spherical belief from the top-``rank`` singular pairs of ``w_ext``;
+    zero directions are refilled from ``preferred``. A basis that fails the
+    orthonormality check raises NumericalDegeneracyError naming ``what``."""
+    s, u = thin_svd(w_ext)
+    lam = s[:rank]
+    basis = complete_basis(u[:, :rank][:, lam > 0], preferred, rank)
+    try:
+        return SphericalBelief(mean, eta, basis, lam)
+    except ValueError as exc:
+        raise NumericalDegeneracyError(f"spherical {what}: {exc}") from exc
 
 
 def update_svd(belief_pred, lin, y, cfg):
     """Full-SVD update: new basis from the top-L singular pairs of the
     extended factor. ``eta`` is left untouched by the data."""
-    innov = _check_innovation(y, lin)
-    w_ext = np.hstack(
-        [belief_pred.basis * belief_pred.singular_values, lin.jacobian.T @ lin.whitener.T]
-    )
-    mean = _spherical_mean_update(belief_pred, lin, innov, w_ext)
-    s, u = thin_svd(w_ext)
-    rank = cfg.rank
-    lam = s[:rank]
-    live = u[:, :rank][:, lam > 0]
-    basis = complete_basis(live, belief_pred.basis, rank)
-    try:  # the constructor checks orthonormality; a lost one fails this step
-        return SphericalBelief(mean, belief_pred.eta, basis, lam)
-    except ValueError as exc:
-        raise NumericalDegeneracyError(f"spherical update_svd: {exc}") from exc
+    mean, w_ext = _posterior_mean(belief_pred, lin, y)
+    return truncate(mean, belief_pred.eta, w_ext, belief_pred.basis, cfg.rank, "update_svd")
 
 
 def svd_orth(lam, basis, jacobian, whitener, rng_seed):
@@ -166,25 +160,8 @@ def svd_orth(lam, basis, jacobian, whitener, rng_seed):
 
 def update_orth(belief_pred, lin, y, cfg, rng_seed):
     """Same mean update as :func:`update_svd`; basis via :func:`svd_orth`."""
-    innov = _check_innovation(y, lin)
-    w_ext = np.hstack(
-        [belief_pred.basis * belief_pred.singular_values, lin.jacobian.T @ lin.whitener.T]
-    )
-    mean = _spherical_mean_update(belief_pred, lin, innov, w_ext)
+    mean, _ = _posterior_mean(belief_pred, lin, y)
     lam, basis = svd_orth(
         belief_pred.singular_values, belief_pred.basis, lin.jacobian, lin.whitener, rng_seed
     )
     return SphericalBelief(mean, belief_pred.eta, basis, lam)
-
-
-def step(belief, x, y, model, cfg, mode="svd", rng_seed=0):
-    """predict, linearize, update; returns (posterior, y_hat)."""
-    pred = predict(belief, cfg)
-    lin = linearize(model, x, pred.mean)
-    if mode == "svd":
-        post = update_svd(pred, lin, y, cfg)
-    elif mode == "orth":
-        post = update_orth(pred, lin, y, cfg, rng_seed)
-    else:
-        raise ValueError(f"unknown spherical update mode {mode!r}")
-    return post, lin.y_hat

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrkf import spherical
 from lrkf.baselines import (
     Adam,
     DenseBelief,
@@ -317,6 +318,15 @@ class TestIteratedLowRank:
         out = iterated_lowrank_update(b, model, np.zeros(1), np.array([2.5]),
                                       IteratedConfig(num_iters=4), rank=2)
         assert out.mean == pytest.approx(b.mean, abs=1e-12)
+
+    def test_one_truncation_svd_after_the_passes(self, monkeypatch):
+        calls = []
+        real = spherical.thin_svd
+        monkeypatch.setattr(spherical, "thin_svd", lambda w: calls.append(w.shape) or real(w))
+        model = linear_model(4, 0.8)
+        b = random_spherical(4, 2, seed=18)
+        iterated_lowrank_update(b, model, np.ones(4), np.array([0.7]), IteratedConfig(3), rank=2)
+        assert calls == [(4, 3)]
 
     def test_linear_model_iteration_count_irrelevant(self):
         rng = np.random.default_rng(8)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,13 @@ from lrkf.harness import (
     ExperimentConfig,
     parse_config,
     run_experiment,
+    run_seed as harness_run_seed,
     tune_experiment,
     validate_config,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, text):
@@ -41,6 +47,32 @@ kind = piecewise_sine
 num_tasks = 2
 steps_per_task = 30
 noise_sd = 0.2
+"""
+
+BANDIT = """
+[experiment]
+seeds = 0
+output = {out}
+
+[model]
+hidden = 8
+activation = tanh
+family = gaussian
+obs_variance = 0.25
+
+[method]
+name = lrekf
+rank = 3
+process_noise = 1e-4
+
+[stream]
+kind = synthetic_classification
+in_dim = 3
+
+[bandit]
+actions = 3
+steps = 60
+policy = thompson
 """
 
 
@@ -146,6 +178,61 @@ class TestParsingAndValidation:
         text = BASIC.format(out=tmp_path / "o") + "\n[tune]\nseed = 3\n"
         assert parse_config(write_config(tmp_path / "c.ini", text)).tune["seed"] == 3
 
+    @pytest.mark.parametrize("section, line, bad, name", [
+        ("method", "rank = 3", "ranks = 3", "method.ranks"),
+        ("stream", "noise_sd = 0.2", "noise_sd = 0.2\nlr = 1e-4", "stream.lr"),
+        ("experiment", "seeds = 0 1", "seeds = 0 1\nseed = 4", "experiment.seed"),
+    ])
+    def test_unknown_key_is_named(self, section, line, bad, name, tmp_path, capsys):
+        # a misspelt or misplaced key used to be dropped silently
+        path = write_config(tmp_path / "c.ini", BASIC.format(out=tmp_path / "o").replace(line, bad))
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert [p.split(":")[0] for p in info.value.problems] == [name]
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {name}: unknown key")
+
+    def test_unknown_section_is_named(self, tmp_path):
+        text = BASIC.format(out=tmp_path / "o") + "\n[methods]\nrank = 4\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path / "c.ini", text))
+        assert info.value.problems[0].startswith("methods: unknown section")
+
+    @pytest.mark.parametrize("config", [
+        "demos/configs/sine.ini", "demos/configs/bandit.ini", "perfbench/configs/wide.ini",
+    ])
+    def test_shipped_configs_validate(self, config):
+        assert validate_config(parse_config(str(REPO / config))) == []
+
+    @pytest.mark.parametrize("value, message", [
+        ("0.9", "cannot parse '0.9' as two numbers 'lo hi'"),
+        ("0.9 1.0 1.1", "cannot parse '0.9 1.0 1.1' as two numbers 'lo hi'"),
+        ("low high", "cannot parse 'low high' as two numbers 'lo hi'"),
+        ("1.0 0.9", "need lo <= hi"),
+    ])
+    def test_bad_tune_space_is_named(self, value, message, tmp_path, capsys):
+        text = BASIC.format(out=tmp_path / "o") + f"\n[tune]\nbudget = 2\nspace_gamma = {value}\n"
+        path = write_config(tmp_path / "c.ini", text)
+        assert main(["validate", path]) == 1
+        captured = capsys.readouterr()
+        assert f"tune.space_gamma: {message}" in captured.out + captured.err
+        assert main(["tune", path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: tune.space_gamma: {message}")
+
+    def test_log_scale_tune_space_needs_positive_low(self, tmp_path):
+        text = BASIC.format(out=tmp_path / "o") + "\n[tune]\nspace_process_noise = 0 1e-2\n"
+        problems = validate_config(parse_config(write_config(tmp_path / "c.ini", text)))
+        assert problems == ["tune.space_process_noise: need lo <= hi and lo > 0 (log scale)"]
+
+    def test_tune_space_parses_into_two_floats(self, tmp_path):
+        text = BASIC.format(out=tmp_path / "o") + "\n[tune]\nbudget = 6\nsteps = 10\n"
+        text += "space_gamma = 0.9 0.92\n"
+        cfg = parse_config(write_config(tmp_path / "c.ini", text))
+        assert cfg.tune["space_gamma"] == (0.9, 0.92)
+        _, trials = tune_experiment(cfg)
+        # gamma's point mass at 1 stays; every other draw is in the range
+        assert all(t["gamma"] == 1.0 or 0.9 <= t["gamma"] <= 0.92 for t in trials)
+
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError):
             parse_config("/nonexistent/config.ini")
@@ -208,10 +295,11 @@ class TestRunExperiment:
 
     def test_lost_spherical_orthonormality_fails_only_that_seed(self, tmp_path):
         # this categorical stream drives update_svd's basis past the 1e-8
-        # orthonormality bound; the seed is recorded as failed, no traceback
+        # orthonormality bound (on most seeds); the seed is recorded as
+        # failed, no traceback
         text = """
 [experiment]
-seeds = 0
+seeds = 1
 metrics = nll misclass
 output = {out}
 
@@ -234,10 +322,48 @@ steps = 400
 """.format(out=tmp_path / "o")
         status = run_experiment(parse_config(write_config(tmp_path / "c.ini", text)))
         assert status["completed"] == []
-        assert status["failed"][0].startswith(
+        assert status["failed"][1].startswith(
             "NumericalDegeneracyError: spherical update_svd: basis columns are not orthonormal"
         )
-        assert "seed 0: NumericalDegeneracyError" in (tmp_path / "o" / "failures.txt").read_text()
+        assert "seed 1: NumericalDegeneracyError" in (tmp_path / "o" / "failures.txt").read_text()
+
+    @pytest.mark.parametrize("tag", ["lrekf", "fcekf", "iekf", "ilrekf"])
+    def test_nan_target_fails_only_that_seed(self, tag, tmp_path):
+        # one NaN target in the csv: the update that meets it raises, and
+        # run_seed records the seed as failed instead of aborting the run
+        rng = np.random.default_rng(0)
+        rows = [f"{a},{a * 0.5 + 0.1 * rng.standard_normal()}" for a in rng.standard_normal(20)]
+        rows[7] = "0.3,nan"
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("a,y\n" + "\n".join(rows) + "\n")
+        text = f"""
+[experiment]
+seeds = 0
+metrics = rmse nll
+output = {tmp_path / "o"}
+
+[model]
+hidden = 4
+obs_variance = 0.1
+
+[method]
+name = {tag}
+rank = 2
+
+[stream]
+kind = csv
+path = {csv_path}
+target = y
+standardize = false
+test_fraction = 0
+"""
+        cfg = parse_config(write_config(tmp_path / "c.ini", text))
+        rows, err = harness_run_seed(cfg, 0)
+        assert rows == []
+        assert err.startswith("NumericalDegeneracyError: non-finite innovation")
+        status = run_experiment(cfg)
+        assert status == {"completed": [], "failed": {0: err}}
+        assert (tmp_path / "o" / "failures.txt").read_text() == f"seed 0: {err}\n"
 
     def test_invalid_config_raises_config_error(self, tmp_path):
         text = BASIC.format(out=tmp_path / "o").replace("name = lrekf", "name = zzz")
@@ -342,34 +468,29 @@ class TestCli:
         assert (tmp_path / "o" / "metrics.csv").exists()
 
     def test_bandit_verb(self, tmp_path, capsys):
-        text = """
-[experiment]
-seeds = 0
-output = {out}
-
-[model]
-hidden = 8
-activation = tanh
-family = gaussian
-obs_variance = 0.25
-
-[method]
-name = lrekf
-rank = 3
-process_noise = 1e-4
-
-[stream]
-kind = synthetic_classification
-in_dim = 3
-
-[bandit]
-actions = 3
-steps = 60
-policy = thompson
-""".format(out=tmp_path / "o")
+        text = BANDIT.format(out=tmp_path / "o")
         cfgfile = write_config(tmp_path / "b.ini", text)
         assert main(["bandit", cfgfile]) == 0
         assert (tmp_path / "o" / "bandit_metrics.csv").exists()
+
+    @pytest.mark.parametrize("tag", ["vdekf", "fdekf", "iekf", "ilrekf"])
+    def test_bandit_rejects_methods_without_a_masked_update(self, tag, tmp_path, capsys):
+        text = BANDIT.format(out=tmp_path / "o").replace("name = lrekf", f"name = {tag}")
+        assert main(["bandit", write_config(tmp_path / "b.ini", text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: method.name: lrkf bandit does not support '{tag}'")
+        assert err.rstrip().endswith("supported: lrekf, lrekf_spherical, fcekf, sgd_rb, ogd")
+
+    @pytest.mark.parametrize("tag", ["fcekf", "sgd_rb", "ogd"])
+    def test_thompson_needs_a_posterior(self, tag, tmp_path, capsys):
+        text = BANDIT.format(out=tmp_path / "o").replace("name = lrekf", f"name = {tag}")
+        path = write_config(tmp_path / "b.ini", text)
+        assert main(["bandit", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: bandit.policy: thompson needs a posterior to sample; {tag} has none"
+        )
+        path = write_config(tmp_path / "b.ini", text.replace("thompson", "epsilon_greedy"))
+        assert main(["bandit", path]) == 0
 
     def test_tune_verb(self, tmp_path):
         text = BASIC.format(out=tmp_path / "o") + "\n[tune]\nbudget = 2\nsteps = 20\n"
@@ -383,7 +504,7 @@ def test_every_registry_method_runs(tag, tmp_path):
     text = BASIC.format(out=tmp_path / "o").replace("name = lrekf", f"name = {tag}")
     text = text.replace("seeds = 0 1", "seeds = 0").replace("steps_per_task = 30", "steps_per_task = 12")
     if tag in ("sgd_rb", "ogd"):
-        text += "lr = 1e-4\n"
+        text = text.replace("rank = 3", "rank = 3\nlr = 1e-4")
     cfg = parse_config(write_config(tmp_path / "c.ini", text))
     status = run_experiment(cfg)
     assert status["completed"] == [0]

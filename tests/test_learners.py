@@ -3,6 +3,7 @@ import pytest
 
 from lrkf import belief, diagonal, linalg, spherical
 from lrkf.bandit import FilterBanditAgent, env_from_stream, run_bandit
+from lrkf.exceptions import NumericalDegeneracyError
 from lrkf.learners import build_learner
 from lrkf.models import CategoricalFamily, GaussianFamily, MlpModel, MlpSpec
 from lrkf.streams import (
@@ -137,11 +138,28 @@ def test_bandit_runs_one_thin_svd_per_step(monkeypatch):
         calls.append(w.shape)
         return linalg.thin_svd(w)
 
-    for module in (belief, diagonal, spherical):
-        monkeypatch.setattr(module, "thin_svd", counting)
+    for module in (belief, diagonal, spherical):  # belief imports none today
+        monkeypatch.setattr(module, "thin_svd", counting, raising=False)
     events = gen_synthetic_classification(25, in_dim=8, num_classes=5, seed=0)
     model = MlpModel(MlpSpec((8, 16, 5)), GaussianFamily(0.25))
     assert model.parameter_count == 229
     agent = FilterBanditAgent(build_learner("lrekf", model, PARAMS, seed=0))
     run_bandit(env_from_stream(events, 5), agent, "thompson", 25, seed=0)
     assert len(calls) == 25
+
+
+@pytest.mark.parametrize("tag, update", [
+    ("lrekf", None), ("lrekf_spherical", "svd"), ("lrekf_spherical", "orth"), ("fcekf", None),
+    ("iekf", None), ("ilrekf", None), ("vdekf", None), ("fdekf", None),
+])
+def test_nan_target_fails_the_update(tag, update):
+    # every update checks its innovation, so a NaN target fails the step
+    # that met it instead of leaking into the mean or a later step
+    model, events = sine_setup()
+    params = {"rank": 3, "process_noise": 1e-4}
+    if update is not None:
+        params["update"] = update
+    learner = build_learner(tag, model, params, seed=0)
+    learner.observe(events[0].x, events[0].y)
+    with pytest.raises(NumericalDegeneracyError, match="non-finite innovation"):
+        learner.observe(events[1].x, np.array([np.nan]))

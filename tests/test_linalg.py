@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lrkf import linalg
-from lrkf.linalg import fix_column_signs, thin_svd
+from lrkf.exceptions import NumericalDegeneracyError
+from lrkf.linalg import fix_column_signs, thin_svd, woodbury_mean
 
 
 def first_nonzero(col):
@@ -113,3 +114,49 @@ class TestFixColumnSigns:
     def test_empty_input(self):
         assert fix_column_signs(np.zeros((0, 3))).shape == (0, 3)
         assert fix_column_signs(np.zeros((3, 0))).shape == (3, 0)
+
+
+class TestWoodburyMean:
+    """``mean + (diag(d) + W W^T)^-1 rhs`` against a dense solve."""
+
+    @staticmethod
+    def dense(diag, w):
+        return np.diag(np.broadcast_to(diag, (w.shape[0],))) + w @ w.T
+
+    @pytest.mark.parametrize("rank", [0, 1, 5])
+    @pytest.mark.parametrize("spherical", [False, True])
+    def test_matches_dense_solve(self, rank, spherical):
+        rng = np.random.default_rng(rank)
+        p = 30
+        diag = 1.7 if spherical else rng.uniform(0.5, 2.0, p)
+        w = rng.standard_normal((p, rank))
+        mean, rhs = rng.standard_normal(p), rng.standard_normal(p)
+        got = woodbury_mean(mean, diag, w, rhs)
+        expected = mean + np.linalg.solve(self.dense(diag, w), rhs)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("spherical", [False, True])
+    def test_ill_conditioned_factor(self, spherical):
+        # singular values of W span 1 to 1e6, so the precision's condition
+        # number is about 1e12; the dense reference itself is only good to
+        # about cond * eps, which bounds the comparison
+        rng = np.random.default_rng(11)
+        p, rank = 30, 4
+        left, _ = np.linalg.qr(rng.standard_normal((p, rank)))
+        right, _ = np.linalg.qr(rng.standard_normal((rank, rank)))
+        w = (left * np.logspace(0, 6, rank)) @ right.T
+        assert np.linalg.cond(w) == pytest.approx(1e6)
+        diag = 1.3 if spherical else rng.uniform(0.5, 2.0, p)
+        rhs = rng.standard_normal(p)
+        prec = self.dense(diag, w)
+        expected = np.linalg.solve(prec, rhs)
+        got = woodbury_mean(np.zeros(p), diag, w, rhs)
+        err = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+        assert err <= np.linalg.cond(prec) * np.finfo(float).eps
+
+    def test_failed_core_solve_raises(self):
+        # with d = -1 and W = e1 the core I + W^T d^-1 W is exactly 0
+        w = np.zeros((3, 1))
+        w[0, 0] = 1.0
+        with pytest.raises(NumericalDegeneracyError, match="Woodbury core"):
+            woodbury_mean(np.zeros(3), -np.ones(3), w, np.ones(3))

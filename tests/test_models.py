@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrkf.exceptions import NumericalDegeneracyError
 from lrkf.models import (
     CategoricalFamily,
     FunctionModel,
@@ -321,3 +322,15 @@ class TestFixedGaussianTerms:
         r = np.array([[0.5, 0.0], [0.0, 0.5]])
         GaussianFamily(r).obs_chol(2)
         r[0, 0] = 0.6  # the family holds its own read-only copy
+
+
+@pytest.mark.parametrize("y, y_hat", [
+    ([np.nan, 0.0], [0.0, 0.0]), ([np.inf, 0.0], [0.0, 0.0]), ([1.0, 0.0], [np.nan, 0.0]),
+])
+def test_innovation_rejects_non_finite_entries(y, y_hat):
+    model = MlpModel(MlpSpec((2, 2)), GaussianFamily(1.0))
+    lin = linearize(model, np.ones(2), np.zeros(model.parameter_count))
+    np.testing.assert_array_equal(lin.innovation([1.0, -2.0]), [1.0, -2.0])
+    lin = type(lin)(np.array(y_hat), lin.jacobian, lin.obs_cov, lin.whitener)
+    with pytest.raises(NumericalDegeneracyError, match="non-finite innovation"):
+        lin.innovation(y)

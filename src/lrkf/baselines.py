@@ -45,7 +45,7 @@ class DiagonalBelief:
         diag = np.asarray(self.diag_precision, dtype=float)
         if mean.shape != diag.shape or mean.ndim != 1:
             raise ValueError("mean and diag_precision must be equal-length vectors")
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+        if (diag <= 0).any() or not np.isfinite(diag).all():
             raise ValueError("diag_precision entries must be finite and > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "diag_precision", diag)
@@ -99,14 +99,18 @@ def diagonal_predict(belief, dyn):
 
 
 def _diagonal_mean_update(belief_pred, lin, y):
-    """Gain form K = Ups^-1 H^T (H Ups^-1 H^T + R)^+ shared by both filters."""
+    """Gain form K = Ups^-1 H^T (H Ups^-1 H^T + R)^+ shared by both filters.
+
+    Returns the posterior mean, ``cross = Ups^-1 H^T`` (P, C) and the
+    pseudo-inverse ``S^+`` of ``S = H Ups^-1 H^T + R``.
+    """
     innov = lin.innovation(y)
     var = 1.0 / belief_pred.diag_precision
     cross = var[:, None] * lin.jacobian.T  # Ups^-1 H^T, (P, C)
     s = lin.jacobian @ cross + lin.obs_cov
     # pinv covers the singular moment-matched covariance of classification
-    gain_innov = cross @ (np.linalg.pinv(symmetrize(s), hermitian=True) @ innov)
-    return belief_pred.mean + gain_innov, cross, s
+    s_pinv = np.linalg.pinv(symmetrize(s), hermitian=True)
+    return belief_pred.mean + cross @ (s_pinv @ innov), cross, s_pinv
 
 
 def vdekf_step(belief, model, x, y, dyn):
@@ -123,9 +127,8 @@ def fdekf_step(belief, model, x, y, dyn):
     """Fully decoupled EKF: moment-match the posterior covariance diagonal."""
     pred = diagonal_predict(belief, dyn)
     lin = linearize(model, x, pred.mean)
-    mean, cross, s = _diagonal_mean_update(pred, lin, y)
+    mean, cross, s_pinv = _diagonal_mean_update(pred, lin, y)
     # diag(Sigma*) = Ups^-1 - diag(cross S^+ cross^T), then invert
-    s_pinv = np.linalg.pinv(symmetrize(s), hermitian=True)
     correction = np.einsum("ij,ij->i", cross @ s_pinv, cross)
     cov_diag = 1.0 / pred.diag_precision - correction
     if np.any(cov_diag <= 0):

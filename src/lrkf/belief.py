@@ -55,7 +55,7 @@ class DlrBelief:
             raise ValueError(
                 f"low_rank has {low.shape[0]} rows but the mean has length {mean.shape[0]}"
             )
-        if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
+        if not np.isfinite(diag).all() or (diag <= 0).any():
             raise ValueError("diag_precision entries must be finite and > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "diag_precision", diag)
@@ -93,11 +93,13 @@ class SphericalBelief:
             raise ValueError("basis must be P x L")
         if lam.shape != (basis.shape[1],):
             raise ValueError("singular_values length must match basis columns")
-        if np.any(lam < 0) or np.any(lam[:-1] < lam[1:]):
+        if (lam < 0).any() or (lam[:-1] < lam[1:]).any():
             raise ValueError("singular_values must be >= 0 and non-increasing")
-        if basis.shape[1]:
+        rank = basis.shape[1]
+        if rank:
             gram = basis.T @ basis
-            if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-8:
+            gram.flat[:: rank + 1] -= 1.0
+            if np.abs(gram).max() > 1e-8:
                 raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "eta", float(self.eta))
@@ -125,7 +127,7 @@ class DenseBelief:
         prec = np.asarray(self.precision, dtype=float)
         if prec.shape != (mean.shape[0], mean.shape[0]):
             raise ValueError("precision must be P x P")
-        if np.max(np.abs(prec - prec.T)) > 1e-10:
+        if np.abs(prec - prec.T).max() > 1e-10:
             raise ValueError("precision is not symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", prec)

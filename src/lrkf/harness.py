@@ -96,6 +96,7 @@ _SECTION_KEYS = {name: set(keys.split()) for name, keys in {
 BANDIT_METHODS = ("lrekf", "lrekf_spherical", "fcekf", "sgd_rb", "ogd")
 # methods without a posterior the sampler can draw from (nlpd, thompson)
 UNSAMPLED_METHODS = ("sgd_rb", "ogd", "fcekf", "iekf")
+BANDIT_POLICIES = ("thompson", "epsilon_greedy")
 
 
 def _coerce(key, value):
@@ -237,7 +238,15 @@ def validate_config(cfg):
         if not rng.low <= rng.high or (rng.log and not rng.low > 0):
             log = " and lo > 0 (log scale)" if rng.log else ""
             problems.append(f"tune.space_{key}: need lo <= hi{log}")
+    problems.extend(_policy_problems(cfg))
     return problems
+
+
+def _policy_problems(cfg):
+    policy = cfg.bandit.get("policy", "thompson")
+    if policy in BANDIT_POLICIES:
+        return []
+    return [f"bandit.policy: unknown policy {policy!r}; valid: {', '.join(BANDIT_POLICIES)}"]
 
 
 def build_stream(cfg, seed):
@@ -469,6 +478,9 @@ def run_bandit_experiment(cfg):
     policy = b.get("policy", "thompson")
     epsilon = b.get("epsilon", 0.1)
     reward_variance = b.get("reward_variance", 0.25)
+    problems = _policy_problems(cfg)
+    if problems:
+        raise ConfigError(problems)
     if cfg.method not in BANDIT_METHODS:
         raise ConfigError(
             [f"method.name: lrkf bandit does not support {cfg.method!r}; "

@@ -23,6 +23,7 @@ Likelihood families:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -122,7 +123,7 @@ class Linearization:
         entry is finite. Every filter update checks its innovation here,
         so a NaN target or a NaN prediction fails the step that met it."""
         innov = np.atleast_1d(np.asarray(y, dtype=float)) - self.y_hat
-        if not np.all(np.isfinite(innov)):
+        if not np.isfinite(innov).all():
             raise NumericalDegeneracyError(f"non-finite innovation {innov}")
         return innov
 
@@ -169,10 +170,21 @@ class MlpSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "layer_widths", widths)
 
-    @property
+    @cached_property
     def parameter_count(self):
+        return self._layout[-1][2]
+
+    @cached_property
+    def _layout(self):
+        """Per layer: (weight start, bias start, bias end, n_out, n_in) in
+        the flat parameters; computed once per spec."""
+        layout, pos = [], 0
         w = self.layer_widths
-        return sum((w[i] + 1) * w[i + 1] for i in range(len(w) - 1))
+        for n_in, n_out in zip(w[:-1], w[1:]):
+            mid = pos + n_in * n_out
+            layout.append((pos, mid, mid + n_out, n_out, n_in))
+            pos = mid + n_out
+        return tuple(layout)
 
     @property
     def in_dim(self):
@@ -194,17 +206,10 @@ class MlpSpec:
                 f"theta has length {theta.shape}, expected {self.parameter_count}"
             )
         lead = theta.shape[:-1]
-        layers = []
-        pos = 0
-        w = self.layer_widths
-        for i in range(len(w) - 1):
-            n_in, n_out = w[i], w[i + 1]
-            weight = theta[..., pos : pos + n_in * n_out].reshape(*lead, n_out, n_in)
-            pos += n_in * n_out
-            bias = theta[..., pos : pos + n_out]
-            pos += n_out
-            layers.append((weight, bias))
-        return layers
+        return [
+            (theta[..., start:mid].reshape(*lead, n_out, n_in), theta[..., mid:end])
+            for start, mid, end, n_out, n_in in self._layout
+        ]
 
 
 def _act(spec, z):

@@ -14,6 +14,10 @@ approximate ``p(y | x, data so far)`` at increasing fidelity:
 * :func:`probit_predict` is a deterministic classification approximation
   that divides each logit by ``sqrt(1 + pi/8 * var)``, pulling the
   probabilities toward uniform when the parameters are uncertain.
+
+Gaussian log densities whiten a stack of residuals row by row, each row
+with its own one-right-hand-side solve in one stacked call, so a stack
+of events (or of draws) gives each row the bits of a single-row call.
 """
 
 from dataclasses import dataclass
@@ -25,10 +29,15 @@ from .models import softmax
 
 
 def gaussian_log_density(resid, chol):
-    """log N(resid; 0, L L^T) for residuals of shape (C,) or (S, C),
-    whitening every row against the one lower Cholesky factor L."""
-    white = np.linalg.solve(chol, resid.T)
-    quad = white @ white if white.ndim == 1 else np.einsum("cs,cs->s", white, white)
+    """log N(resid; 0, L L^T) for residuals of shape (C,) or (S, C).
+
+    Every row is whitened against the one lower Cholesky factor L by its
+    own one-right-hand-side solve, all rows in one stacked call, so each
+    row's value is bit-identical to a call on that row alone. (One solve
+    with S right-hand sides is not: LAPACK takes another rounding path.)
+    """
+    white = np.linalg.solve(chol, resid[..., None])  # (..., C, 1)
+    quad = (white.swapaxes(-1, -2) @ white)[..., 0, 0]
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (resid.shape[-1] * np.log(2 * np.pi) + logdet + quad)
 
@@ -36,19 +45,27 @@ def gaussian_log_density(resid, chol):
 def categorical_log_prob(probs, y):
     """log p(y) under probabilities of shape (C,) or (S, C).
 
-    ``y`` is a class index or a label vector. Only its nonzero entries
-    are weighted, so a class whose probability underflowed to 0 adds
-    nothing instead of 0 * log 0 = NaN.
+    ``y`` is a class index, one label vector (C,) for every row, or one
+    label vector per row (S, C). Only its nonzero entries are weighted,
+    so a class whose probability underflowed to 0 adds nothing instead
+    of 0 * log 0 = NaN.
     """
     y = np.asarray(y)
     if y.ndim == 0:
         return np.log(probs[..., int(y)])
+    if y.ndim == 2:
+        rows, cols = np.nonzero(y)
+        return np.bincount(rows, np.log(probs[rows, cols]) * y[rows, cols], y.shape[0])
     nz = np.flatnonzero(y)
     return np.log(probs[..., nz]) @ y[nz]
 
 
 @dataclass(frozen=True)
 class GaussianPrediction:
+    """Gaussian predictive for one event, ``mean`` (C,), or for a stack of
+    events sharing one covariance, ``mean`` (S, C); ``nll`` then takes
+    targets (S, C) and returns one value per row."""
+
     mean: np.ndarray
     cov: np.ndarray
     chol: np.ndarray = None  # lower Cholesky factor of cov, if already known
@@ -61,11 +78,14 @@ class GaussianPrediction:
 
 @dataclass(frozen=True)
 class CategoricalPrediction:
+    """Categorical predictive, ``probs`` (C,) or a stack of events (S, C)."""
+
     probs: np.ndarray
 
     def nll(self, y):
-        """y may be a class index or a one-hot vector."""
-        return -float(categorical_log_prob(self.probs, y))
+        """y may be a class index or a one-hot vector, or one label vector
+        per row of a stack."""
+        return -categorical_log_prob(self.probs, y)
 
 
 def plugin_predict(belief, model, x):
@@ -82,10 +102,10 @@ def mc_predict(belief, model, x, y, n_samples, rng_seed, temperature=1.0):
 
     The S draws (perturb-and-solve, O(S P L + P L^2) for every P) go
     through one batched ``model.forward`` call and their log-likelihoods
-    are computed as one array; for a Gaussian family the residuals are
-    whitened together against the family's fixed factor. ``temperature``
-    scales the parameter covariance before sampling; 0 short-circuits to
-    the plugin NLL.
+    are computed as one array; for a Gaussian family each residual row is
+    whitened against the family's fixed factor in one stacked solve.
+    ``temperature`` scales the parameter covariance before sampling; 0
+    short-circuits to the plugin NLL.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

@@ -4,6 +4,11 @@ A stream is a list of :class:`StreamEvent` records. The ``task_id`` field
 is evaluation metadata only: the prequential loop hands learners the bare
 ``(x, y)`` pair, so no learner code can condition on task boundaries.
 
+The prequential loop predicts, then reads the target, then trains. It
+scores ``nlpd`` in the loop, because that needs the step's belief; the
+point metrics (``rmse``, ``nll``, ``misclass``) are scored after the loop
+over the stacked predictions and targets, one vectorized call each.
+
 All generators are pure functions of their arguments and a seed.
 """
 
@@ -262,6 +267,12 @@ def prequential_eval(learner, stream, metrics, window=1, nlpd_samples=100, seed=
     trailing mean over that many steps (rmse averages squared errors
     before the root).
 
+    ``nlpd`` needs the belief of its own step, so it is scored inside the
+    loop. The loop only collects each event's prediction ``y_hat`` and
+    target ``y`` for the point metrics (``rmse``, ``nll``, ``misclass``),
+    which are scored after it over the whole stream in one vectorized
+    call each; every value equals the one a single-event call gives.
+
     ``test_sets`` optionally holds one held-out ``(X, y)`` pair per task;
     every ``test_every`` steps the learner's point predictions are scored
     on the current task's set and emitted as ``test_rmse`` rows.
@@ -269,25 +280,39 @@ def prequential_eval(learner, stream, metrics, window=1, nlpd_samples=100, seed=
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; pick from {METRICS}")
-    raw = {m: [] for m in metrics}
-    meta = []
+    score_nlpd = "nlpd" in metrics
+    meta, y_hats, ys, nlpd = [], [], [], []
     rows = []
     for step, ev in enumerate(stream):
         out = learner.predict(ev.x)
         y = ev.y
         meta.append((ev.t, ev.task_id))
-        for m in metrics:
-            raw[m].append(_metric_value(m, learner, out, y, nlpd_samples, seed, ev.t))
+        y_hats.append(out.y_hat)
+        ys.append(y)
+        if score_nlpd:
+            if out.belief is None:
+                raise ValueError("nlpd needs a learner with a posterior belief")
+            nlpd.append(
+                float(mc_predict(out.belief, learner.model, out.x, y, nlpd_samples, [seed, ev.t]))
+            )
         learner.observe(ev.x, y)
         if test_sets is not None and (step + 1) % test_every == 0:
-            xs, ys = test_sets[ev.task_id]
+            xs, ys_test = test_sets[ev.task_id]
             preds = np.array([learner.predict(x).y_hat[0] for x in xs])
             rows.append({
                 "t": ev.t, "task_id": ev.task_id, "metric": "test_rmse",
-                "value": float(np.sqrt(np.mean((preds - ys) ** 2))),
+                "value": float(np.sqrt(np.mean((preds - ys_test) ** 2))),
             })
+    if not meta:
+        return rows
+    y_hat = np.array(y_hats, dtype=float).reshape(len(meta), -1)
+    y = np.array(ys, dtype=float).reshape(len(meta), -1)
+    if y.shape != y_hat.shape:
+        raise ValueError(f"targets of shape {y.shape[1:]} do not match predictions "
+                         f"of shape {y_hat.shape[1:]}; classes need one-hot labels")
     for m in metrics:
-        values = _rolling_mean(raw[m], window)
+        raw = nlpd if m == "nlpd" else _point_scores(m, learner, y_hat, y)
+        values = _rolling_mean(raw, window)
         if m == "rmse":
             values = np.sqrt(values)
         for (t, task_id), v in zip(meta, values):
@@ -295,24 +320,17 @@ def prequential_eval(learner, stream, metrics, window=1, nlpd_samples=100, seed=
     return rows
 
 
-def _metric_value(metric, learner, out, y, nlpd_samples, seed, t):
+def _point_scores(metric, learner, y_hat, y):
+    """Per-event values of a point metric from the stacked predictions and
+    target vectors (label vectors for classification), both (N, C): the
+    squared error (rooted after windowing), the 0/1 error of the argmax
+    class, or the plug-in NLL."""
     if metric == "rmse":
-        resid = np.atleast_1d(y) - np.atleast_1d(out.y_hat)
-        return float(np.mean(resid**2))
+        return np.mean((y - y_hat) ** 2, axis=-1)
     if metric == "misclass":
-        truth = int(np.argmax(y)) if np.ndim(y) else int(y)
-        return float(int(np.argmax(out.y_hat)) != truth)
+        return (np.argmax(y_hat, axis=-1) != np.argmax(y, axis=-1)).astype(float)
     family = learner.model.family
-    if metric == "nll":
-        if family.kind == "categorical":
-            return float(CategoricalPrediction(out.y_hat).nll(y))
-        y_hat = np.atleast_1d(out.y_hat)
-        c = y_hat.shape[0]
-        return float(GaussianPrediction(y_hat, family.obs_cov(c), family.obs_chol(c)).nll(y))
-    if metric == "nlpd":
-        if out.belief is None:
-            raise ValueError("nlpd needs a learner with a posterior belief")
-        return float(
-            mc_predict(out.belief, learner.model, out.x, y, nlpd_samples, [seed, t])
-        )
-    raise ValueError(metric)
+    if family.kind == "categorical":
+        return CategoricalPrediction(y_hat).nll(y)
+    c = y_hat.shape[-1]
+    return GaussianPrediction(y_hat, family.obs_cov(c), family.obs_chol(c)).nll(y)

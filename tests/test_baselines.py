@@ -11,6 +11,7 @@ from lrkf.baselines import (
     Sgd,
     dense_predict,
     dense_update,
+    diagonal_predict,
     fcekf_step,
     fdekf_step,
     iterated_ekf_update,
@@ -19,6 +20,7 @@ from lrkf.baselines import (
     vdekf_step,
 )
 from lrkf.diagonal import DynamicsConfig, LowRankConfig
+from lrkf.linalg import symmetrize
 from lrkf.models import (
     FunctionModel,
     GaussianFamily,
@@ -140,6 +142,28 @@ class TestDiagonalEkfs:
         assert vd.diag_precision == pytest.approx(np.diag(prec_star), abs=1e-10)
         fd, _ = fdekf_step(b, model, x, y, dyn)
         assert fd.diag_precision == pytest.approx(1.0 / np.diag(np.linalg.inv(prec_star)), abs=1e-10)
+
+    def test_fdekf_takes_one_pinv_per_step(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        model = MlpModel(MlpSpec((2, 4, 2)), GaussianFamily(0.3))
+        p = model.parameter_count
+        dyn = DynamicsConfig(1.0, 1e-3, 1.0)
+        b = DiagonalBelief(initialize_mean(model.spec, 0), np.full(p, 2.0))
+        x, y = rng.standard_normal(2), rng.standard_normal(2)
+        # the gain form with S^+ taken afresh, as the correction once did
+        pred = diagonal_predict(b, dyn)
+        lin = linearize(model, x, pred.mean)
+        cross = (1.0 / pred.diag_precision)[:, None] * lin.jacobian.T
+        s_pinv = np.linalg.pinv(symmetrize(lin.jacobian @ cross + lin.obs_cov), hermitian=True)
+        mean = pred.mean + cross @ (s_pinv @ lin.innovation(y))
+        cov_diag = 1.0 / pred.diag_precision - np.einsum("ij,ij->i", cross @ s_pinv, cross)
+        calls = []
+        real = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(1) or real(*a, **k))
+        out, _ = fdekf_step(b, model, x, y, dyn)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(out.mean, mean)
+        np.testing.assert_array_equal(out.diag_precision, 1.0 / cov_diag)
 
     def test_lowrank_rank0_equals_vdekf_over_50_steps(self):
         from lrkf.belief import DlrBelief

@@ -365,6 +365,33 @@ test_fraction = 0
         assert status == {"completed": [], "failed": {0: err}}
         assert (tmp_path / "o" / "failures.txt").read_text() == f"seed 0: {err}\n"
 
+    def test_non_finite_factor_fails_only_that_seed(self, tmp_path, monkeypatch):
+        # a NaN in seed 0's predicted factor reaches the truncation SVD,
+        # which raises NumericalDegeneracyError; seed 1 still completes
+        from lrkf import diagonal
+        from lrkf.belief import DlrBelief
+
+        real = diagonal.predict
+        calls = []
+
+        def poisoned(belief, cfg):
+            pred = real(belief, cfg)
+            calls.append(1)
+            if len(calls) != 5:
+                return pred
+            low = pred.low_rank.copy()
+            low[0, 0] = np.nan
+            return DlrBelief(pred.mean, pred.diag_precision, low)
+
+        monkeypatch.setattr(diagonal, "predict", poisoned)
+        cfg = parse_config(write_config(tmp_path / "c.ini", BASIC.format(out=tmp_path / "o")))
+        status = run_experiment(cfg)
+        assert status["completed"] == [1]
+        assert status["failed"] == {
+            0: "NumericalDegeneracyError: thin_svd: non-finite Gram matrix"
+        }
+        assert (tmp_path / "o" / "metrics_seed1.csv").exists()
+
     def test_invalid_config_raises_config_error(self, tmp_path):
         text = BASIC.format(out=tmp_path / "o").replace("name = lrekf", "name = zzz")
         cfg = parse_config(write_config(tmp_path / "c.ini", text))
@@ -491,6 +518,16 @@ class TestCli:
         )
         path = write_config(tmp_path / "b.ini", text.replace("thompson", "epsilon_greedy"))
         assert main(["bandit", path]) == 0
+
+    def test_unknown_policy_fails_validate_and_bandit(self, tmp_path, capsys):
+        text = BANDIT.format(out=tmp_path / "o").replace("policy = thompson", "policy = thomson")
+        path = write_config(tmp_path / "b.ini", text)
+        problem = "bandit.policy: unknown policy 'thomson'; valid: thompson, epsilon_greedy"
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out == problem + "\n"
+        assert main(["bandit", path]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_tune_verb(self, tmp_path):
         text = BASIC.format(out=tmp_path / "o") + "\n[tune]\nbudget = 2\nsteps = 20\n"

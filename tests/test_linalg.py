@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lrkf import linalg
 from lrkf.exceptions import NumericalDegeneracyError
@@ -93,6 +94,54 @@ class TestThinSvd:
         s, u = thin_svd(w)
         assert_valid_thin_svd(w, s, u)
         np.testing.assert_array_equal(u[0], 0.0)
+
+
+class TestDirectSyevr:
+    """thin_svd's direct dsyevr call against scipy.linalg.eigh, bit for bit."""
+
+    @staticmethod
+    def tall(k, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((151, k)) * rng.uniform(0.01, 10.0, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 11, 30])
+    def test_gram_eigenpairs_match_scipy_eigh(self, k):
+        for seed in range(5):
+            w = self.tall(k, seed)
+            gram = w.T @ w
+            vals, vecs = linalg._gram_eigh(gram)
+            ref_vals, ref_vecs = scipy.linalg.eigh(gram)
+            np.testing.assert_array_equal(vals, ref_vals)
+            np.testing.assert_array_equal(vecs, ref_vecs)
+
+    @staticmethod
+    def assert_matches_eigh_route(monkeypatch, w):
+        s, u = thin_svd(w)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_gram_eigh", scipy.linalg.eigh)
+            s_ref, u_ref = thin_svd(w)
+        np.testing.assert_array_equal(s, s_ref)
+        np.testing.assert_array_equal(u, u_ref)
+
+    @pytest.mark.parametrize("k", [1, 2, 11, 30])
+    def test_thin_svd_matches_the_eigh_route(self, monkeypatch, k):
+        for seed in range(5):
+            self.assert_matches_eigh_route(monkeypatch, self.tall(k, seed))
+
+    def test_repeated_singular_values(self, monkeypatch):
+        q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((60, 6)))
+        w = q * np.array([3.0, 3.0, 2.0, 2.0, 2.0, 0.5])
+        self.assert_matches_eigh_route(monkeypatch, w)
+        s, u = thin_svd(w)
+        assert_valid_thin_svd(w, s, u)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(40, 6), (4, 6)])
+    def test_non_finite_input_raises(self, bad, shape):
+        w = np.random.default_rng(7).standard_normal(shape)
+        w[2, 3] = bad
+        with pytest.raises(NumericalDegeneracyError, match="thin_svd: non-finite"):
+            thin_svd(w)
 
 
 class TestFixColumnSigns:

@@ -18,6 +18,8 @@ from lrkf.models import (
 from lrkf.predictive import (
     CategoricalPrediction,
     GaussianPrediction,
+    categorical_log_prob,
+    gaussian_log_density,
     gaussian_predict,
     mc_predict,
     plugin_predict,
@@ -343,3 +345,26 @@ def test_gaussian_nll_with_known_factor_matches_fresh_factorization():
     mean, y = np.array([0.1, -0.3]), np.array([0.6, 0.2])
     fresh = GaussianPrediction(mean, family.obs_cov(2)).nll(y)
     assert GaussianPrediction(mean, family.obs_cov(2), family.obs_chol(2)).nll(y) == fresh
+
+
+@pytest.mark.parametrize("c", [1, 3, 10])
+def test_gaussian_log_density_stack_equals_single_rows(c):
+    rng = np.random.default_rng(c)
+    a = rng.standard_normal((c, c))
+    chol = np.linalg.cholesky(a @ a.T + 0.1 * np.eye(c))
+    resid = rng.standard_normal((200, c)) * 10.0 ** rng.uniform(-6, 2, (200, 1))
+    stack = gaussian_log_density(resid, chol)
+    assert stack.shape == (200,)
+    np.testing.assert_array_equal(stack, [gaussian_log_density(row, chol) for row in resid])
+
+
+def test_categorical_log_prob_per_row_labels_equal_single_rows():
+    rng = np.random.default_rng(8)
+    probs = softmax(30.0 * rng.standard_normal((100, 5)))
+    probs[0] = softmax(np.array([0.0, -800.0, -1.0, 0.5, 0.2]))
+    labels = np.eye(5)[rng.integers(0, 5, 100)]
+    labels[0] = np.eye(5)[0]
+    stack = CategoricalPrediction(probs).nll(labels)
+    single = [CategoricalPrediction(p).nll(y) for p, y in zip(probs, labels)]
+    np.testing.assert_array_equal(stack, single)
+    np.testing.assert_array_equal(-stack, categorical_log_prob(probs, labels))

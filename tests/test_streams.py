@@ -298,6 +298,16 @@ class TestPrequential:
             prequential_eval(_PerfectLearner([ev.y for ev in events], _gaussian_model()),
                              events, ("accuracy",))
 
+    def test_class_index_targets_rejected(self):
+        from lrkf.models import CategoricalFamily, FunctionModel
+
+        model = FunctionModel(lambda x, th: np.zeros(3), lambda x, th: np.zeros((3, 1)),
+                              CategoricalFamily(), parameter_count=1)
+        events = [StreamEvent(np.zeros(2), np.array(1.0), 0, t) for t in range(4)]
+        learner = _PerfectLearner([np.full(3, 1.0 / 3)] * 4, model)
+        with pytest.raises(ValueError, match="one-hot labels"):
+            prequential_eval(learner, events, ("misclass",))
+
     def test_heldout_task_test_sets(self):
         from lrkf.streams import piecewise_sine_test_sets
 
@@ -312,3 +322,97 @@ class TestPrequential:
         # a learner echoing stream targets is not the task function, so
         # test_rmse is positive; the plumbing just has to produce rows
         assert all(np.isfinite(r["value"]) for r in test_rows)
+
+
+class TestBatchedScoring:
+    """prequential_eval's after-the-loop scoring against the per-event scorer
+    it replaced, row for row and bit for bit."""
+
+    @staticmethod
+    def metric_value(metric, learner, out, y, nlpd_samples, seed, t):
+        from lrkf.predictive import CategoricalPrediction, GaussianPrediction, mc_predict
+
+        if metric == "rmse":
+            resid = np.atleast_1d(y) - np.atleast_1d(out.y_hat)
+            return float(np.mean(resid**2))
+        if metric == "misclass":
+            truth = int(np.argmax(y)) if np.ndim(y) else int(y)
+            return float(int(np.argmax(out.y_hat)) != truth)
+        family = learner.model.family
+        if metric == "nll":
+            if family.kind == "categorical":
+                return float(CategoricalPrediction(out.y_hat).nll(y))
+            y_hat = np.atleast_1d(out.y_hat)
+            c = y_hat.shape[0]
+            return float(GaussianPrediction(y_hat, family.obs_cov(c), family.obs_chol(c)).nll(y))
+        return float(mc_predict(out.belief, learner.model, out.x, y, nlpd_samples, [seed, t]))
+
+    def reference_rows(self, learner, stream, metrics, window, nlpd_samples=7, seed=0):
+        from lrkf.streams import _rolling_mean
+
+        raw = {m: [] for m in metrics}
+        meta = []
+        for ev in stream:
+            out = learner.predict(ev.x)
+            meta.append((ev.t, ev.task_id))
+            for m in metrics:
+                raw[m].append(self.metric_value(m, learner, out, ev.y, nlpd_samples, seed, ev.t))
+            learner.observe(ev.x, ev.y)
+        rows = []
+        for m in metrics:
+            values = _rolling_mean(raw[m], window)
+            if m == "rmse":
+                values = np.sqrt(values)
+            for (t, task_id), v in zip(meta, values):
+                rows.append({"t": t, "task_id": task_id, "metric": m, "value": float(v)})
+        return rows
+
+    def assert_same_rows(self, make_learner, events, metrics):
+        for window in (1, 4):
+            rows = prequential_eval(make_learner(), events, metrics, window=window,
+                                    nlpd_samples=7)
+            ref = self.reference_rows(make_learner(), events, metrics, window)
+            assert rows == ref
+
+    def test_gaussian_one_output(self):
+        from lrkf.learners import build_learner
+        from lrkf.models import GaussianFamily, MlpModel, MlpSpec
+
+        model = MlpModel(MlpSpec((1, 6, 1)), GaussianFamily(0.04))
+        events = gen_piecewise_sine(PiecewiseSineSpec(num_tasks=2, steps_per_task=20), seed=1)
+        self.assert_same_rows(
+            lambda: build_learner("lrekf", model, {"rank": 3, "process_noise": 1e-4}, 0),
+            events, ("rmse", "nll", "nlpd"),
+        )
+
+    def test_gaussian_three_outputs_full_covariance(self):
+        from lrkf.learners import build_learner
+        from lrkf.models import GaussianFamily, MlpModel, MlpSpec
+
+        r = np.array([[0.5, 0.2, 0.0], [0.2, 0.4, -0.1], [0.0, -0.1, 0.3]])
+        model = MlpModel(MlpSpec((2, 5, 3)), GaussianFamily(r))
+        rng = np.random.default_rng(2)
+        events = []
+        for t in range(40):
+            x = rng.standard_normal(2)
+            y = np.array([np.sin(x[0]), x[0] * x[1], np.cos(x[1])]) + 0.3 * rng.standard_normal(3)
+            events.append(StreamEvent(x, y, 0, t))
+        self.assert_same_rows(
+            lambda: build_learner("lrekf", model, {"rank": 4, "process_noise": 1e-4}, 0),
+            events, ("rmse", "nll"),
+        )
+
+    def test_categorical_with_an_underflowed_class(self):
+        from lrkf.models import CategoricalFamily, FunctionModel, softmax
+
+        c = 4
+        model = FunctionModel(lambda x, th: np.zeros(c), lambda x, th: np.zeros((c, 1)),
+                              CategoricalFamily(), parameter_count=1)
+        events = gen_synthetic_classification(30, in_dim=2, num_classes=c, seed=3)
+        rng = np.random.default_rng(3)
+        preds = [softmax(3.0 * rng.standard_normal(c)) for _ in events]
+        preds[5] = softmax(np.array([0.0, -800.0, -1.0, 0.5]))
+        assert preds[5][1] == 0.0
+        label = int(np.argmax(events[5].y))
+        events[5] = StreamEvent(events[5].x, np.eye(c)[label if label != 1 else 0], 0, 5)
+        self.assert_same_rows(lambda: _PerfectLearner(preds, model), events, ("nll", "misclass"))

@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import gradient_step
 from .belief import sample_parameters
 from .models import Linearization
-
-# Largest variance of a Bernoulli reward; a reasonable fixed observation
-# noise when modeling 0/1 rewards with a Gaussian.
-DEFAULT_REWARD_VARIANCE = 0.25
+from .schema import defaults
 
 
 @dataclass(frozen=True)
@@ -75,16 +73,20 @@ def masked_reward_linearization(model, x, mean, action, reward_variance):
     return Linearization(values[action : action + 1], jac[action : action + 1, :], cov, whitener)
 
 
-class FilterBanditAgent:
-    """Bayesian filter over the reward network; supports both policies."""
+class _Agent:
+    """A learner over the reward network and the reward noise it assumes."""
 
-    def __init__(self, learner, reward_variance=DEFAULT_REWARD_VARIANCE):
+    def __init__(self, learner, reward_variance=defaults("bandit")["reward_variance"]):
         self.learner = learner
         self.reward_variance = reward_variance
 
     @property
     def model(self):
         return self.learner.model
+
+
+class FilterBanditAgent(_Agent):
+    """Bayesian filter over the reward network; supports both policies."""
 
     def act(self, x, policy, epsilon, seed):
         pred = self.learner.predicted_belief()
@@ -100,16 +102,8 @@ class FilterBanditAgent:
         self.learner.apply_update(pred, lin, np.array([reward]))
 
 
-class SgdBanditAgent:
+class SgdBanditAgent(_Agent):
     """Point-estimate agent: replay buffer SGD on the chosen head only."""
-
-    def __init__(self, learner, reward_variance=DEFAULT_REWARD_VARIANCE):
-        self.learner = learner
-        self.reward_variance = reward_variance
-
-    @property
-    def model(self):
-        return self.learner.model
 
     def act(self, x, policy, epsilon, seed):
         if policy == "thompson":
@@ -117,17 +111,15 @@ class SgdBanditAgent:
         return epsilon_greedy_act(self.learner.params, self.model, x, epsilon, seed)
 
     def learn(self, x, action, reward):
-        buf = self.learner.buffer
-        buf.append(x, np.array([action, reward]))
-        for _ in range(self.learner.inner_iters):
+        learner = self.learner
+        learner.buffer.append(x, np.array([action, reward]))
+        for _ in range(learner.inner_iters):
             grads = []
-            for bx, ar in buf:
+            for bx, ar in learner.buffer:
                 a, r = int(ar[0]), ar[1]
-                values, jac = self.model.jacobian(bx, self.learner.params)
+                values, jac = self.model.jacobian(bx, learner.params)
                 grads.append(jac[a] * (values[a] - r) / self.reward_variance)
-            self.learner.params = self.learner.optimizer.step(
-                self.learner.params, np.mean(grads, axis=0)
-            )
+            learner.params = gradient_step(learner.params, grads, learner.optimizer)
 
 
 def run_bandit(env, agent, policy, steps, seed, epsilon=0.1):

@@ -69,8 +69,8 @@ def dense_predict(belief, dyn):
 def dense_update(belief_pred, lin, y):
     """Precision += H^T R^-1 H; mean += Sigma* H^T R^-1 e."""
     innov = lin.innovation(y)
-    wh = lin.whitener @ lin.jacobian
-    prec = symmetrize(belief_pred.precision + wh.T @ wh)
+    wh = lin.whitened_jacobian_t
+    prec = symmetrize(belief_pred.precision + wh @ wh.T)
     chol = chol_or_raise(prec, "posterior precision")
     gain_rhs = lin.jacobian.T @ lin.apply_r_inv(innov)
     mean = belief_pred.mean + scipy.linalg.cho_solve((chol, True), gain_rhs)
@@ -118,7 +118,7 @@ def vdekf_step(belief, model, x, y, dyn):
     pred = diagonal_predict(belief, dyn)
     lin = linearize(model, x, pred.mean)
     mean, _, _ = _diagonal_mean_update(pred, lin, y)
-    wh = lin.jacobian.T @ lin.whitener.T
+    wh = lin.whitened_jacobian_t
     diag = pred.diag_precision + np.einsum("ij,ij->i", wh, wh)
     return DiagonalBelief(mean, diag), lin.y_hat
 
@@ -202,18 +202,26 @@ def nll_gradient(model, x, y, theta):
     return -jac.T @ np.linalg.solve(lin_cov, resid)
 
 
+def gradient_step(params, grads, optimizer):
+    """One optimizer step on the mean of the per-example ``grads``; raises
+    NumericalDegeneracyError when that mean is not finite."""
+    grad = np.mean(grads, axis=0)
+    if not np.isfinite(grad).all():
+        finite = grad[np.isfinite(grad)]
+        raise NumericalDegeneracyError(
+            f"non-finite gradient (|buffer|={len(grads)}, max |g|="
+            f"{np.max(np.abs(finite)) if finite.size else 'nan'})"
+        )
+    return optimizer.step(params, grad)
+
+
 def sgd_replay_step(params, buffer, x, y, optimizer, inner_iters=1, model=None):
     """Append (x, y), then run gradient steps on the mean NLL over the buffer."""
     buffer.append(x, y)
     for _ in range(inner_iters):
-        grads = [nll_gradient(model, bx, by, params) for bx, by in buffer]
-        grad = np.mean(grads, axis=0)
-        if not np.all(np.isfinite(grad)):
-            raise NumericalDegeneracyError(
-                f"non-finite gradient (|buffer|={len(buffer)}, max |g|="
-                f"{np.max(np.abs(grad[np.isfinite(grad)])) if np.any(np.isfinite(grad)) else 'nan'})"
-            )
-        params = optimizer.step(params, grad)
+        params = gradient_step(
+            params, [nll_gradient(model, bx, by, params) for bx, by in buffer], optimizer
+        )
     return params
 
 
@@ -276,8 +284,8 @@ def iterated_ekf_update(belief_pred, model, x, y, icfg):
         delta = mu_pred - mu + gain @ innov
         alpha = _linesearch(cost, cost(mu), delta, mu, icfg.linesearch_grid)
         mu = mu + alpha * delta
-    wh = lin.whitener @ lin.jacobian
-    prec = symmetrize(belief_pred.precision + wh.T @ wh)
+    wh = lin.whitened_jacobian_t
+    prec = symmetrize(belief_pred.precision + wh @ wh.T)
     return DenseBelief(mu, prec)
 
 
@@ -311,7 +319,7 @@ def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank=None):
         lin = linearize(model, x, mu) if i else lin0
         jac = lin.jacobian
         innov = lin.innovation(y) - jac @ (mu_pred - mu)
-        w_ext = np.hstack([w_prior, jac.T @ lin.whitener.T])
+        w_ext = np.hstack([w_prior, lin.whitened_jacobian_t])
         delta = woodbury_mean(mu_pred - mu, eta, w_ext, jac.T @ lin.apply_r_inv(innov))
         alpha = _linesearch(cost, cost(mu), delta, mu, icfg.linesearch_grid)
         mu = mu + alpha * delta

@@ -30,10 +30,15 @@ def _cmd_run(args):
     status = run_experiment(cfg)
     for seed in status["completed"]:
         print(f"seed {seed}: ok")
-    for seed, err in sorted(status["failed"].items()):
+    return _report(status["failed"], os.path.join(cfg.output, "metrics.csv"))
+
+
+def _report(failed, path):
+    """Print each failed seed and the file written; exit code 1 if any failed."""
+    for seed, err in sorted(failed.items()):
         print(f"seed {seed}: FAILED ({err})", file=sys.stderr)
-    print(f"wrote {os.path.join(cfg.output, 'metrics.csv')}")
-    return 0 if not status["failed"] else 1
+    print(f"wrote {path}")
+    return 0 if not failed else 1
 
 
 def _cmd_tune(args):
@@ -49,11 +54,10 @@ def _cmd_tune(args):
 
 def _cmd_bandit(args):
     cfg = parse_config(args.config)
-    totals = run_bandit_experiment(cfg)
-    for seed, total in sorted(totals.items()):
+    status = run_bandit_experiment(cfg)
+    for seed, total in sorted(status["totals"].items()):
         print(f"seed {seed}: total reward {total:g}")
-    print(f"wrote {os.path.join(cfg.output, 'bandit_metrics.csv')}")
-    return 0
+    return _report(status["failed"], os.path.join(cfg.output, "bandit_metrics.csv"))
 
 
 def _cmd_validate(args):

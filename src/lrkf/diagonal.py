@@ -118,7 +118,7 @@ def update(belief_pred, lin, y, cfg):
     """
     innov = lin.innovation(y)
     ups = belief_pred.diag_precision
-    w_ext = np.hstack([belief_pred.low_rank, lin.jacobian.T @ lin.whitener.T])
+    w_ext = np.hstack([belief_pred.low_rank, lin.whitened_jacobian_t])
     mean = woodbury_mean(belief_pred.mean, ups, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
 
     s, u = thin_svd(w_ext)

@@ -14,17 +14,19 @@ belief returned by ``predicted_belief()`` is cached and shared by
 ``learn()`` until the state changes. Every state change goes through
 ``_commit``, which drops the cache.
 
-The module-level ``REGISTRY`` maps method tags to factories used by the
-experiment configuration.
+The module-level ``REGISTRY`` maps each method tag to its factory and
+capabilities; the config keys each method reads are in :mod:`lrkf.schema`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import baselines, diagonal, spherical
 from .inflation import InflationConfig, LatentPrior, inflate_dlr, inflate_spherical
 from .models import initialize_mean, linearize
+from .schema import defaults
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,10 @@ class _BayesianLearner:
         self.t = 0
         self._pred = None
 
-    # subclasses: _inflate, _predict_belief, _update
+    # subclasses: _predict_belief, _update, and _inflate if they inflate
+
+    def _inflate(self, belief):
+        return belief
 
     def predicted_belief(self):
         """Inflated and drifted belief, computed once per learner state."""
@@ -78,18 +83,13 @@ class _BayesianLearner:
         self.t += 1
 
     def _inflation_cfg(self):
+        """The inflation settings with this step's Gamma product, pulling
+        toward the initial mean unless they name a prior mean."""
         cfg = self.cfg.inflation
         if cfg is None:
             return None
-        ref = cfg.prior_mean_ref
-        if ref is None:
-            ref = getattr(self, "_init_mean", None)
-        return InflationConfig(
-            alpha=cfg.alpha,
-            variant=cfg.variant,
-            prior_mean_ref=ref,
-            gamma_product=self.latent.gamma_product,
-        )
+        ref = self._init_mean if cfg.prior_mean_ref is None else cfg.prior_mean_ref
+        return replace(cfg, prior_mean_ref=ref, gamma_product=self.latent.gamma_product)
 
 
 class LowRankFilterLearner(_BayesianLearner):
@@ -102,9 +102,7 @@ class LowRankFilterLearner(_BayesianLearner):
 
     def _inflate(self, belief):
         icfg = self._inflation_cfg()
-        if icfg is None or icfg.variant == "none":
-            return belief
-        return inflate_dlr(belief, icfg, self.latent.eta)
+        return belief if icfg is None else inflate_dlr(belief, icfg, self.latent.eta)
 
     def _predict_belief(self, belief):
         return diagonal.predict(belief, self.cfg)
@@ -124,9 +122,7 @@ class SphericalFilterLearner(_BayesianLearner):
 
     def _inflate(self, belief):
         icfg = self._inflation_cfg()
-        if icfg is None or icfg.variant == "none":
-            return belief
-        return inflate_spherical(belief, icfg)
+        return belief if icfg is None else inflate_spherical(belief, icfg)
 
     def _predict_belief(self, belief):
         return spherical.predict(belief, self.cfg)
@@ -146,9 +142,6 @@ class DenseFilterLearner(_BayesianLearner):
         mean = initialize_mean(model.spec, seed)
         prec = cfg.dynamics.initial_precision * np.eye(mean.shape[0])
         self.belief = baselines.DenseBelief(mean, prec)
-
-    def _inflate(self, belief):
-        return belief
 
     def _predict_belief(self, belief):
         return baselines.dense_predict(belief, self.cfg.dynamics)
@@ -171,9 +164,6 @@ class IteratedSphericalLearner(_BayesianLearner):
         super().__init__(model, cfg)
         self.iterated = iterated
         self.belief = spherical.initial_belief(model, cfg, seed)
-
-    def _inflate(self, belief):
-        return belief
 
     def _predict_belief(self, belief):
         return spherical.predict(belief, self.cfg)
@@ -243,70 +233,49 @@ class SgdReplayLearner:
 # Registry
 # ---------------------------------------------------------------------------
 
-def _dyn(params):
+def _dyn(p):
     return diagonal.DynamicsConfig(
-        gamma=params.get("gamma", 1.0),
-        process_noise=params.get("process_noise", 0.0),
-        initial_precision=params.get("initial_precision", 1.0),
-        steady_state=params.get("steady_state", False),
+        p["gamma"], p["process_noise"], p["initial_precision"], p["steady_state"]
     )
 
 
-def _inflation(params):
-    variant = params.get("inflation", "none")
-    if variant == "none":
-        return None
-    return InflationConfig(alpha=params.get("inflation_alpha", 0.0), variant=variant)
-
-
-def _lowrank_cfg(params):
-    return diagonal.LowRankConfig(
-        rank=params.get("rank", 10), dynamics=_dyn(params), inflation=_inflation(params)
+def _lowrank_cfg(p):
+    inflation = None if p["inflation"] == "none" else InflationConfig(
+        p["inflation_alpha"], p["inflation"]
     )
+    return diagonal.LowRankConfig(p["rank"], _dyn(p), inflation)
 
 
-def _iterated(params):
-    return baselines.IteratedConfig(
-        num_iters=params.get("iterations", 3),
-        linesearch_grid=params.get("linesearch_grid", 10),
-    )
+def _iterated(p):
+    return baselines.IteratedConfig(p["iterations"], p["linesearch_grid"])
 
 
-REGISTRY = {
-    "lrekf": lambda model, params, seed: LowRankFilterLearner(model, _lowrank_cfg(params), seed),
-    "lrekf_spherical": lambda model, params, seed: SphericalFilterLearner(
-        model, _lowrank_cfg(params), seed, mode=params.get("update", "svd")
-    ),
-    "fcekf": lambda model, params, seed: DenseFilterLearner(model, _lowrank_cfg(params), seed),
-    "iekf": lambda model, params, seed: DenseFilterLearner(
-        model, _lowrank_cfg(params), seed, iterated=_iterated(params)
-    ),
-    "ilrekf": lambda model, params, seed: IteratedSphericalLearner(
-        model, _lowrank_cfg(params), seed, _iterated(params)
-    ),
-    "vdekf": lambda model, params, seed: DiagonalEkfLearner(model, _dyn(params), seed, "vdekf"),
-    "fdekf": lambda model, params, seed: DiagonalEkfLearner(model, _dyn(params), seed, "fdekf"),
-    "sgd_rb": lambda model, params, seed: SgdReplayLearner(
-        model, seed,
-        buffer_size=params.get("buffer_size", 10),
-        optimizer=params.get("optimizer", "sgd"),
-        lr=params.get("lr", 0.01),
-        inner_iters=params.get("inner_iters", 1),
-    ),
-    "ogd": lambda model, params, seed: SgdReplayLearner(
-        model, seed,
-        buffer_size=1,
-        optimizer=params.get("optimizer", "sgd"),
-        lr=params.get("lr", 0.01),
-        inner_iters=params.get("inner_iters", 1),
-    ),
+# A registry entry: ``factory(model, params, seed)`` builds the learner from
+# params that hold every [method] key; ``masked``: it conditions on one
+# chosen output head, so lrkf bandit can drive it; ``sampler``: it has a
+# posterior to draw from (nlpd, thompson).
+Method = namedtuple("Method", "factory masked sampler")
+
+REGISTRY = {  # tag: Method(factory, masked, sampler)
+    "lrekf": Method(lambda m, p, s: LowRankFilterLearner(m, _lowrank_cfg(p), s), True, True),
+    "lrekf_spherical": Method(
+        lambda m, p, s: SphericalFilterLearner(m, _lowrank_cfg(p), s, p["update"]), True, True),
+    "fcekf": Method(lambda m, p, s: DenseFilterLearner(m, _lowrank_cfg(p), s), True, False),
+    "iekf": Method(
+        lambda m, p, s: DenseFilterLearner(m, _lowrank_cfg(p), s, _iterated(p)), False, False),
+    "ilrekf": Method(
+        lambda m, p, s: IteratedSphericalLearner(m, _lowrank_cfg(p), s, _iterated(p)), False, True),
+    "vdekf": Method(lambda m, p, s: DiagonalEkfLearner(m, _dyn(p), s, "vdekf"), False, True),
+    "fdekf": Method(lambda m, p, s: DiagonalEkfLearner(m, _dyn(p), s, "fdekf"), False, True),
+    "sgd_rb": Method(lambda m, p, s: SgdReplayLearner(
+        m, s, p["buffer_size"], p["optimizer"], p["lr"], p["inner_iters"]), True, False),
+    "ogd": Method(lambda m, p, s: SgdReplayLearner(
+        m, s, 1, p["optimizer"], p["lr"], p["inner_iters"]), True, False),
 }
-
-# methods whose learner applies the ``inflation`` and ``inflation_alpha`` keys
-INFLATED_METHODS = ("lrekf", "lrekf_spherical")
 
 
 def build_learner(tag, model, params, seed):
+    """The ``tag`` learner; keys ``params`` leaves out take their schema default."""
     if tag not in REGISTRY:
         raise ValueError(f"unknown method {tag!r}; valid: {sorted(REGISTRY)}")
-    return REGISTRY[tag](model, params, seed)
+    return REGISTRY[tag].factory(model, {**defaults("method"), **params}, seed)

@@ -114,6 +114,12 @@ class Linearization:
     obs_cov: np.ndarray
     whitener: np.ndarray
 
+    @cached_property
+    def whitened_jacobian_t(self):
+        """``jacobian.T @ whitener.T`` (P, C): the whitened Jacobian columns
+        a low-rank update appends to its factor, built once."""
+        return self.jacobian.T @ self.whitener.T
+
     def apply_r_inv(self, v):
         """R^-1 v (pseudo-inverse when R is singular)."""
         return self.whitener.T @ (self.whitener @ v)

@@ -97,7 +97,7 @@ def _posterior_mean(belief_pred, lin, y):
     """Posterior mean, and the extended factor (scaled basis with the
     whitened Jacobian columns appended) it was solved against."""
     w = belief_pred.basis * belief_pred.singular_values
-    w_ext = np.hstack([w, lin.jacobian.T @ lin.whitener.T])
+    w_ext = np.hstack([w, lin.whitened_jacobian_t])
     rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
     return woodbury_mean(belief_pred.mean, belief_pred.eta, w_ext, rhs), w_ext
 
@@ -122,10 +122,11 @@ def update_svd(belief_pred, lin, y, cfg):
     return truncate(mean, belief_pred.eta, w_ext, belief_pred.basis, cfg.rank, "update_svd")
 
 
-def svd_orth(lam, basis, jacobian, whitener, rng_seed):
+def svd_orth(lam, basis, grads, rng_seed):
     """Projection-based replacement for the truncated SVD.
 
-    Visits the columns of the whitened transposed Jacobian in a seeded
+    Visits the columns of ``grads``, the whitened transposed Jacobian
+    (``Linearization.whitened_jacobian_t``, P x C), in a seeded
     random order; each is projected onto the complement of the active
     basis (columns whose singular value is > 0) and replaces the
     weakest slot when its residual norm is strictly larger than the
@@ -134,7 +135,6 @@ def svd_orth(lam, basis, jacobian, whitener, rng_seed):
     """
     lam = np.array(lam, dtype=float, copy=True)
     basis = np.array(basis, dtype=float, copy=True)
-    grads = jacobian.T @ whitener.T
     rng = np.random.default_rng(rng_seed)
     for j in rng.permutation(grads.shape[1]):
         g = grads[:, j]
@@ -162,6 +162,6 @@ def update_orth(belief_pred, lin, y, cfg, rng_seed):
     """Same mean update as :func:`update_svd`; basis via :func:`svd_orth`."""
     mean, _ = _posterior_mean(belief_pred, lin, y)
     lam, basis = svd_orth(
-        belief_pred.singular_values, belief_pred.basis, lin.jacobian, lin.whitener, rng_seed
+        belief_pred.singular_values, belief_pred.basis, lin.whitened_jacobian_t, rng_seed
     )
     return SphericalBelief(mean, belief_pred.eta, basis, lam)

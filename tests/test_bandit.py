@@ -140,6 +140,16 @@ class TestRunBandit:
         with pytest.raises(ValueError):
             run_bandit(env, agent, "thompson", 10, seed=0)
 
+    def test_sgd_agent_raises_on_a_non_finite_gradient(self):
+        from lrkf.exceptions import NumericalDegeneracyError
+
+        env = self._env(steps=10)
+        model = MlpModel(MlpSpec((3, 8, 4), activation="tanh"), GaussianFamily(0.25))
+        learner = SgdReplayLearner(model, seed=0, buffer_size=5, lr=0.05)
+        learner.params = np.full_like(learner.params, np.nan)
+        with pytest.raises(NumericalDegeneracyError, match="non-finite gradient"):
+            SgdBanditAgent(learner).learn(env.contexts[0], 1, 1.0)
+
     def test_labels_validated(self):
         with pytest.raises(ValueError):
             BanditEnv(np.zeros((3, 2)), np.array([0, 5, 1]), num_actions=3)
@@ -147,9 +157,8 @@ class TestRunBandit:
     def test_default_epsilon_is_a_tenth(self):
         import inspect
 
-        from lrkf.harness import run_bandit_experiment
+        from lrkf.schema import defaults
 
         assert inspect.signature(run_bandit).parameters["epsilon"].default == 0.1
         # and the config-driven path defaults to the same value
-        src = inspect.getsource(run_bandit_experiment)
-        assert 'b.get("epsilon", 0.1)' in src
+        assert defaults("bandit")["epsilon"] == 0.1

@@ -529,6 +529,23 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_diverging_sgd_bandit_seed_is_reported_failed(self, tmp_path, capsys):
+        # lr = 1e9 drives the replay-buffer SGD to a non-finite gradient; the
+        # seed used to finish with NaN parameters and a reward total
+        text = (REPO / "demos/configs/bandit.ini").read_text()
+        for old, new in (("name = lrekf", "name = sgd_rb\nlr = 1e9"), ("steps = 2000", "steps = 200"),
+                         ("policy = thompson", "policy = epsilon_greedy"),
+                         ("output = out/bandit", f"output = {tmp_path / 'o'}")):
+            text = text.replace(old, new)
+        path = write_config(tmp_path / "b.ini", text)
+        with np.errstate(all="ignore"):
+            assert main(["bandit", path]) == 1
+        err = capsys.readouterr().err
+        assert "seed 0: FAILED (NumericalDegeneracyError: non-finite gradient" in err
+        failures = (tmp_path / "o" / "failures.txt").read_text().splitlines()
+        assert [line.split(":")[0] for line in failures] == ["seed 0", "seed 1", "seed 2"]
+        assert (tmp_path / "o" / "bandit_metrics.csv").read_text().count("\n") == 1
+
     def test_tune_verb(self, tmp_path):
         text = BASIC.format(out=tmp_path / "o") + "\n[tune]\nbudget = 2\nsteps = 20\n"
         cfgfile = write_config(tmp_path / "t.ini", text)

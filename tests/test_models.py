@@ -287,6 +287,14 @@ class TestOnePassLinearization:
         assert np.array_equal(lin.y_hat, model.forward(x, theta))
         assert np.array_equal(lin.jacobian, model.jacobian(x, theta)[1])
 
+    @pytest.mark.parametrize("family", [GaussianFamily(0.3), CategoricalFamily()])
+    def test_whitened_jacobian_is_built_once(self, family):
+        model = MlpModel(MlpSpec((2, 5, 3), activation="tanh"), family)
+        lin = linearize(model, np.array([0.4, -0.7]), initialize_mean(model.spec, 6))
+        wjt = lin.whitened_jacobian_t
+        assert np.array_equal(wjt, lin.jacobian.T @ lin.whitener.T)
+        assert lin.whitened_jacobian_t is wjt
+
     def test_linearize_rejects_bad_input_shape(self):
         model = MlpModel(MlpSpec((2, 3, 1)), GaussianFamily(1.0))
         with pytest.raises(ValueError, match="x has shape"):

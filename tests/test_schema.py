@@ -1,0 +1,155 @@
+"""The config schema table: repros of once-silent config mistakes, the
+benchmark's configs, the accepted key set and the README grammar."""
+
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from lrkf import schema
+from lrkf.bandit import FilterBanditAgent
+from lrkf.cli import main
+from lrkf.harness import parse_config, run_experiment, validate_config
+from lrkf.learners import REGISTRY
+from lrkf.schema import defaults
+
+REPO = Path(__file__).resolve().parents[1]
+SINE = (REPO / "demos/configs/sine.ini").read_text()
+
+# one-line edits of sine.ini that passed `lrkf validate` with "ok" and then
+# either crashed `lrkf run` with a raw ValueError or were silently ignored
+REPROS = [
+    ("gamma = 1.0", "gamma = 1.5", "method.gamma"),
+    ("process_noise = 1e-4", "process_noise = -1", "method.process_noise"),
+    ("activation = tanh", "activation = relu2", "model.activation"),
+    ("hidden = 50", "hidden = 50 x", "model.hidden"),
+    ("hidden = 50", "hidden = 0", "model.hidden"),
+    ("rank = 10", "rank = 10\ninflation = bogus", "method.inflation"),
+    ("num_tasks = 5", "num_tasks = 0", "stream.num_tasks"),
+    ("rank = 10", "rank = 10\nsteady_state = true", "method.steady_state"),
+    ("rank = 10", "rank = 10\noptimizer = adamw", "method.optimizer"),
+    ("name = lrekf", "name = lrekf_spherical\nupdate = svdd", "method.update"),
+    ("noise_sd = 0.05", "noise_sd = 0.05\nnum_classes = 3", "stream.num_classes"),
+    ("family = gaussian", "family = categorical", "model.obs_variance"),
+    ("objective = prequential_nll", "objective = prequential", "tune.objective"),
+]
+
+
+def sine_config(tmp_path, old=None, new=None):
+    text = SINE.replace("output = out/sine", f"output = {tmp_path / 'out'}")
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("old, new, key", REPROS, ids=[r[1].split("\n")[-1] for r in REPROS])
+def test_repro_is_a_config_error_naming_its_key(old, new, key, tmp_path, capsys):
+    path = sine_config(tmp_path, old, new)
+    assert main(["validate", path]) == 1
+    captured = capsys.readouterr()
+    assert f"{key}: " in captured.out + captured.err
+    for verb in ("run", "tune"):
+        assert main([verb, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"config error: {key}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+def benchmark_configs():
+    """The configs perfbench times: sine.ini under its three methods, with
+    and without nlpd, then wide.ini and bandit.ini, each shortened as perfbench
+    shortens it."""
+    sine = parse_config(str(REPO / "demos/configs/sine.ini"))
+    configs = {
+        f"sine-{method}-{'-'.join(metrics)}": replace(
+            sine, method=method, metrics=metrics, stream={**sine.stream, "steps_per_task": 10})
+        for method in ("lrekf", "lrekf_spherical", "vdekf")
+        for metrics in (("rmse", "nll"), ("rmse", "nll", "nlpd"))
+    }
+    wide = parse_config(str(REPO / "perfbench/configs/wide.ini"))
+    configs["wide"] = replace(wide, stream={**wide.stream, "steps": 10})
+    bandit = parse_config(str(REPO / "demos/configs/bandit.ini"))
+    configs["bandit"] = replace(bandit, bandit={**bandit.bandit, "steps": 200})
+    return configs
+
+
+BENCHMARK_CONFIGS = benchmark_configs()
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_CONFIGS))
+def test_benchmark_configs_validate(name):
+    assert validate_config(BENCHMARK_CONFIGS[name]) == []
+
+
+# the keys each section accepted before the schema table; the table adds none
+PARENT_KEYS = {name: set(keys.split()) for name, keys in {
+    "experiment": "seeds passes metrics output nlpd_samples",
+    "model": "hidden activation family obs_variance",
+    "method": "name rank gamma process_noise initial_precision steady_state inflation "
+              "inflation_alpha update iterations linesearch_grid buffer_size optimizer lr "
+              "inner_iters",
+    "stream": "kind num_tasks steps_per_task noise_sd steps amplitude_growth in_dim "
+              "num_classes margin_noise path target standardize split_seed test_fraction",
+    "tune": "budget steps seed objective space_initial_precision space_process_noise "
+            "space_gamma space_obs_variance",
+    "bandit": "actions steps policy epsilon reward_variance",
+}.items()}
+
+
+def test_accepted_keys_are_unchanged():
+    assert {section: set(keys) for section, keys in schema.SECTIONS.items()} == PARENT_KEYS
+
+
+def test_records_of_one_key_share_a_type_and_name_readers_that_exist():
+    kinds, families = set(schema.KINDS), set(schema.FAMILIES)
+    for section, keys in schema.SECTIONS.items():
+        for name, records in keys.items():
+            assert len({k.type for k in records}) == 1, f"{section}.{name}"
+            for key in records:
+                valid = {"method": set(REGISTRY), "stream": kinds}.get(section, families)
+                assert set(key.readers or ()) <= valid, f"{section}.{name}"
+
+
+def test_stream_defaults_are_per_kind():
+    assert defaults("stream", "piecewise_sine") == {
+        "num_tasks": 5, "steps_per_task": 250, "noise_sd": 0.2}
+    assert defaults("stream", "drifting") == {
+        "noise_sd": 1.0, "steps": 1000, "amplitude_growth": 1.0, "in_dim": 4}
+    classes = {"steps": 1000, "in_dim": 8, "num_classes": 3, "margin_noise": 0.0}
+    assert defaults("stream", "synthetic_classification") == classes
+    assert defaults("stream", "permuted_classification") == {**classes, "steps_per_task": 300}
+    assert defaults("tune")["steps"] == 500
+    assert defaults("bandit")["steps"] == 2000
+
+
+def test_agents_take_the_tables_reward_variance():
+    import inspect
+
+    agent_default = inspect.signature(FilterBanditAgent).parameters["reward_variance"].default
+    assert defaults("bandit")["reward_variance"] == agent_default == 0.25
+
+
+def test_steady_state_identity_that_holds_runs(tmp_path):
+    text = "gamma = 0.6\nprocess_noise = 0.64\nsteady_state = yes"
+    path = sine_config(tmp_path, "gamma = 1.0\nprocess_noise = 1e-4", text)
+    cfg = parse_config(path)
+    assert validate_config(cfg) == []
+    cfg = replace(cfg, seeds=[0], stream={**cfg.stream, "num_tasks": 1, "steps_per_task": 20})
+    assert run_experiment(cfg)["completed"] == [0]
+
+
+def test_readme_grammar_names_every_key():
+    readme = (REPO / "README.md").read_text()
+    grammar = readme.split("### Config grammar", 1)[1].split("\n### ", 1)[0]
+    named = set(re.findall(r"`([a-z_]+)`", grammar))
+    for section, keys in schema.SECTIONS.items():
+        assert f"`[{section}]`" in grammar
+        for name in keys:
+            assert name in named, f"{section}.{name}"
+    for kind in schema.KINDS:
+        assert kind in named

@@ -153,7 +153,7 @@ class TestSvdOrth:
         b = random_spherical(5, 2, seed=7)
         g = b.basis @ np.array([0.3, -0.7])  # in span(U)
         lam, basis = svd_orth(
-            b.singular_values, b.basis, g.reshape(1, -1), np.eye(1), rng_seed=0
+            b.singular_values, b.basis, g.reshape(-1, 1), rng_seed=0
         )
         assert lam == pytest.approx(b.singular_values)
         assert basis == pytest.approx(b.basis)
@@ -162,7 +162,7 @@ class TestSvdOrth:
         basis = np.eye(4)[:, :2]
         lam = np.zeros(2)
         g = np.array([1.0, 2.0, 2.0, 0.0])
-        out_lam, out_basis = svd_orth(lam, basis, g.reshape(1, -1), np.eye(1), rng_seed=0)
+        out_lam, out_basis = svd_orth(lam, basis, g.reshape(-1, 1), rng_seed=0)
         assert out_lam[0] == pytest.approx(3.0)
         assert out_basis[:, 0] == pytest.approx(g / 3.0)
         assert orthonormality_error(out_basis) <= 1e-8
@@ -189,7 +189,7 @@ class TestSvdOrth:
                 exp_lam[k] = nv
         srt = np.argsort(-exp_lam, kind="stable")
         exp_lam, exp_basis = exp_lam[srt], exp_basis[:, srt]
-        got_lam, got_basis = svd_orth(lam, basis, jac, whitener, rng_seed=7)
+        got_lam, got_basis = svd_orth(lam, basis, jac.T @ whitener.T, rng_seed=7)
         assert got_lam == pytest.approx(exp_lam)
         assert got_basis == pytest.approx(exp_basis)
         assert orthonormality_error(got_basis) <= 1e-8
@@ -200,7 +200,7 @@ class TestSvdOrth:
         rng = np.random.default_rng(seed)
         b = random_spherical(6, 3, seed=seed)
         jac = rng.standard_normal((2, 6))
-        lam, basis = svd_orth(b.singular_values, b.basis, jac, np.eye(2), rng_seed=seed)
+        lam, basis = svd_orth(b.singular_values, b.basis, jac.T, rng_seed=seed)
         assert orthonormality_error(basis) <= 1e-8
         assert np.all(lam[:-1] >= lam[1:])
 

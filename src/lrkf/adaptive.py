@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import TuningError
+
 
 def error_rate(t, alpha_min=0.01):
     """The usual decaying learning rate max(alpha_min, 1/t)."""
@@ -69,8 +71,8 @@ def random_search_tune(space, budget, objective, seed):
     from ``(seed, trial index)``, so trials are reproducible and safe to
     evaluate in parallel. Returns ``(best_params, trials)`` where
     ``trials`` is a list of ``{**params, "trial": i, "objective": v}``
-    rows; failed trials carry ``inf`` and the error text. Raises if every
-    trial fails.
+    rows; failed trials carry ``inf`` and the error text. Raises
+    TuningError if every trial fails.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -94,5 +96,5 @@ def random_search_tune(space, budget, objective, seed):
             best = row
     if best is None:
         details = "; ".join(t.get("error", "non-finite objective") for t in trials)
-        raise RuntimeError(f"all {budget} tuning trials failed: {details}")
+        raise TuningError(f"all {budget} tuning trials failed: {details}")
     return {k: v for k, v in best.items() if k not in ("trial", "objective", "error")}, trials

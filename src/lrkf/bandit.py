@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import gradient_step
+from .baselines import sgd_replay_step
 from .belief import sample_parameters
 from .models import Linearization
 from .schema import defaults
@@ -112,14 +112,16 @@ class SgdBanditAgent(_Agent):
 
     def learn(self, x, action, reward):
         learner = self.learner
-        learner.buffer.append(x, np.array([action, reward]))
-        for _ in range(learner.inner_iters):
-            grads = []
-            for bx, ar in learner.buffer:
-                a, r = int(ar[0]), ar[1]
-                values, jac = self.model.jacobian(bx, learner.params)
-                grads.append(jac[a] * (values[a] - r) / self.reward_variance)
-            learner.params = gradient_step(learner.params, grads, learner.optimizer)
+        learner.params = sgd_replay_step(
+            learner.params, learner.buffer, x, np.array([action, reward]), learner.optimizer,
+            self._reward_gradient, learner.inner_iters,
+        )
+
+    def _reward_gradient(self, x, action_reward, params):
+        """Reward NLL gradient of the chosen head; the target is (a, r)."""
+        a, r = int(action_reward[0]), action_reward[1]
+        values, jac = self.model.jacobian(x, params)
+        return jac[a] * (values[a] - r) / self.reward_variance
 
 
 def run_bandit(env, agent, policy, steps, seed, epsilon=0.1):

@@ -6,27 +6,29 @@
 * :func:`fdekf_step` and :func:`vdekf_step` keep only a diagonal: VDEKF
   matches the diagonal of the posterior precision, FDEKF moment-matches
   the diagonal of the posterior covariance via the rank-C correction.
+  :class:`DiagonalBelief` is the rank-0 :class:`~lrkf.belief.DlrBelief`.
 * :func:`sgd_replay_step` is stochastic gradient descent over a FIFO
   replay buffer (online gradient descent when the buffer holds one item),
-  with plain SGD or Adam.
+  with plain SGD or Adam, on a given per-example gradient.
 * :func:`iterated_ekf_update` and :func:`iterated_lowrank_update`
   relinearize the observation several times within one update, each mean
   move scaled by a grid line search on the quadratic energy
-  ``0.5 * ||whitened residual||^2``.
+  ``0.5 * ||whitened residual||^2``; one loop serves both.
 
 Every update checks its innovation with ``Linearization.innovation``; the
 iterated low-rank update steps by :func:`~lrkf.linalg.woodbury_mean` and
 ends in :func:`~lrkf.spherical.truncate`. The FCEKF Cholesky solve and the
-diagonal EKFs' pinv gain form stay separate as references for that core.
+pinv gain form of the diagonal EKFs and the iterated EKF stay separate as
+references for that core.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .belief import DenseBelief
+from .belief import DenseBelief, DlrBelief
 from .exceptions import NumericalDegeneracyError
 from .linalg import chol_or_raise, symmetrize, woodbury_mean
 from .models import linearize, softmax
@@ -34,21 +36,15 @@ from .spherical import truncate
 
 
 @dataclass(frozen=True)
-class DiagonalBelief:
-    """Gaussian with purely diagonal precision."""
+class DiagonalBelief(DlrBelief):
+    """Gaussian with purely diagonal precision: a DLR belief with no factor
+    columns, built as ``DiagonalBelief(mean, diag_precision)``."""
 
-    mean: np.ndarray
-    diag_precision: np.ndarray
+    low_rank: np.ndarray = field(default=None, init=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        diag = np.asarray(self.diag_precision, dtype=float)
-        if mean.shape != diag.shape or mean.ndim != 1:
-            raise ValueError("mean and diag_precision must be equal-length vectors")
-        if (diag <= 0).any() or not np.isfinite(diag).all():
-            raise ValueError("diag_precision entries must be finite and > 0")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "diag_precision", diag)
+        object.__setattr__(self, "low_rank", np.zeros((np.size(self.mean), 0)))
+        super().__post_init__()
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +198,20 @@ def nll_gradient(model, x, y, theta):
     return -jac.T @ np.linalg.solve(lin_cov, resid)
 
 
-def gradient_step(params, grads, optimizer):
-    """One optimizer step on the mean of the per-example ``grads``; raises
-    NumericalDegeneracyError when that mean is not finite."""
-    grad = np.mean(grads, axis=0)
-    if not np.isfinite(grad).all():
-        finite = grad[np.isfinite(grad)]
-        raise NumericalDegeneracyError(
-            f"non-finite gradient (|buffer|={len(grads)}, max |g|="
-            f"{np.max(np.abs(finite)) if finite.size else 'nan'})"
-        )
-    return optimizer.step(params, grad)
-
-
-def sgd_replay_step(params, buffer, x, y, optimizer, inner_iters=1, model=None):
-    """Append (x, y), then run gradient steps on the mean NLL over the buffer."""
+def sgd_replay_step(params, buffer, x, y, optimizer, grad, inner_iters=1):
+    """Append (x, y), then take ``inner_iters`` optimizer steps, each on the
+    mean over the buffer of the per-example gradient ``grad(x, y, params)``;
+    raises NumericalDegeneracyError when that mean is not finite."""
     buffer.append(x, y)
     for _ in range(inner_iters):
-        params = gradient_step(
-            params, [nll_gradient(model, bx, by, params) for bx, by in buffer], optimizer
-        )
+        mean_grad = np.mean([grad(bx, by, params) for bx, by in buffer], axis=0)
+        if not np.isfinite(mean_grad).all():
+            finite = mean_grad[np.isfinite(mean_grad)]
+            raise NumericalDegeneracyError(
+                f"non-finite gradient (|buffer|={len(buffer)}, max |g|="
+                f"{np.max(np.abs(finite)) if finite.size else 'nan'})"
+            )
+        params = optimizer.step(params, mean_grad)
     return params
 
 
@@ -243,14 +233,33 @@ class IteratedConfig:
             raise ValueError("linesearch_grid must be >= 1")
 
 
-def _linesearch(cost, base_cost, delta, mu, grid):
-    """Step scale in (0, 1]: full step if it does not increase the cost,
-    otherwise the grid argmin. Deterministic on flat costs (alpha = 1)."""
-    if cost(mu + delta) <= base_cost:
-        return 1.0
-    alphas = np.linspace(0.0, 1.0, grid + 1)[1:]
-    costs = [cost(mu + a * delta) for a in alphas]
-    return float(alphas[int(np.argmin(costs))])
+def _iterate(model, x, y, mu_pred, prior_energy, step, icfg):
+    """Each pass steps by ``step(lin, innov, mu_pred - mu)``, line-searched
+    on the energy; returns the mean and the last linearization."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    lin = linearize(model, x, mu_pred)
+    whitener = lin.whitener
+
+    def cost(mu):
+        r_obs = whitener @ (y - model.forward(x, mu))
+        return 0.5 * (r_obs @ r_obs + prior_energy(mu_pred - mu))
+
+    mu = mu_pred
+    for i in range(icfg.num_iters):
+        if i:
+            lin = linearize(model, x, mu)
+        d = mu_pred - mu
+        # innovation of the model linearized at mu, read at mu_pred
+        innov = lin.innovation(y) - lin.jacobian @ d
+        delta = step(lin, innov, d)
+        # the full step unless it raises the energy (so 1 on a flat one),
+        # else the grid argmin in (0, 1]
+        alpha = 1.0
+        if not cost(mu + delta) <= cost(mu):
+            alphas = np.linspace(0.0, 1.0, icfg.linesearch_grid + 1)[1:]
+            alpha = alphas[int(np.argmin([cost(mu + a * delta) for a in alphas]))]
+        mu = mu + alpha * delta
+    return mu, lin
 
 
 def iterated_ekf_update(belief_pred, model, x, y, icfg):
@@ -260,36 +269,26 @@ def iterated_ekf_update(belief_pred, model, x, y, icfg):
     ``0.5 (||A (y - h(mu))||^2 + ||S^{-T/2} (mu_pred - mu)||^2)`` where the
     second factor is the upper Cholesky factor of the prior precision.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    mu_pred = belief_pred.mean
     prec_chol = chol_or_raise(belief_pred.precision, "prior precision").T
     cov = np.linalg.inv(belief_pred.precision)
-    lin0 = linearize(model, x, mu_pred)
-    whitener = lin0.whitener
 
-    def cost(mu):
-        r_obs = whitener @ (y - model.forward(x, mu))
-        r_prior = prec_chol @ (mu_pred - mu)
-        return 0.5 * (r_obs @ r_obs + r_prior @ r_prior)
+    def prior_energy(d):
+        r_prior = prec_chol @ d
+        return r_prior @ r_prior
 
-    mu = mu_pred
-    lin = lin0
-    for i in range(icfg.num_iters):
-        lin = linearize(model, x, mu) if i else lin0
+    def step(lin, innov, d):
         jac = lin.jacobian
-        # innovation of the model linearized at mu, read at mu_pred
-        innov = lin.innovation(y) - jac @ (mu_pred - mu)
         s = jac @ cov @ jac.T + lin.obs_cov
         gain = cov @ jac.T @ np.linalg.pinv(symmetrize(s), hermitian=True)
-        delta = mu_pred - mu + gain @ innov
-        alpha = _linesearch(cost, cost(mu), delta, mu, icfg.linesearch_grid)
-        mu = mu + alpha * delta
+        return d + gain @ innov
+
+    mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)
     wh = lin.whitened_jacobian_t
     prec = symmetrize(belief_pred.precision + wh @ wh.T)
     return DenseBelief(mu, prec)
 
 
-def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank=None):
+def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank):
     """Iterated update for the spherical low-rank filter.
 
     Each pass rebuilds the extended factor from the predicted basis,
@@ -298,29 +297,17 @@ def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank=None):
     truncated once to the top-L pairs (:func:`lrkf.spherical.truncate`);
     ``eta`` is untouched.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if rank is None:
-        rank = belief_pred.rank
-    mu_pred = belief_pred.mean
     eta = belief_pred.eta
     w_prior = belief_pred.basis * belief_pred.singular_values
-    lin0 = linearize(model, x, mu_pred)
-    whitener = lin0.whitener
 
-    def cost(mu):
-        r_obs = whitener @ (y - model.forward(x, mu))
-        d = mu_pred - mu
+    def prior_energy(d):
         # ||Sigma^-1/2 d||^2 with precision eta I + W W^T
-        r_prior = eta * (d @ d) + np.sum((w_prior.T @ d) ** 2)
-        return 0.5 * (r_obs @ r_obs + r_prior)
+        return eta * (d @ d) + np.sum((w_prior.T @ d) ** 2)
 
-    mu = mu_pred
-    for i in range(icfg.num_iters):
-        lin = linearize(model, x, mu) if i else lin0
-        jac = lin.jacobian
-        innov = lin.innovation(y) - jac @ (mu_pred - mu)
+    def step(lin, innov, d):
         w_ext = np.hstack([w_prior, lin.whitened_jacobian_t])
-        delta = woodbury_mean(mu_pred - mu, eta, w_ext, jac.T @ lin.apply_r_inv(innov))
-        alpha = _linesearch(cost, cost(mu), delta, mu, icfg.linesearch_grid)
-        mu = mu + alpha * delta
+        return woodbury_mean(d, eta, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
+
+    mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)
+    w_ext = np.hstack([w_prior, lin.whitened_jacobian_t])
     return truncate(mu, eta, w_ext, belief_pred.basis, rank, "iterated_lowrank_update")

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, TuningError
 from .harness import (
     parse_config,
     run_bandit_experiment,
@@ -96,6 +96,9 @@ def main(argv=None):
     except ConfigError as exc:
         for p in exc.problems:
             print(f"config error: {p}", file=sys.stderr)
+        return 1
+    except TuningError as exc:
+        print(f"tune error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 1
 
 

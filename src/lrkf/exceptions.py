@@ -10,6 +10,10 @@ class NumericalDegeneracyError(RuntimeError):
     """
 
 
+class TuningError(RuntimeError):
+    """Every random-search trial failed; the message lists their errors."""
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration.
 

@@ -302,6 +302,27 @@ def write_trials_csv(path, trials):
 # Bandit runs
 # ---------------------------------------------------------------------------
 
+def bandit_problems(cfg):
+    """Problems ``lrkf bandit`` adds to :func:`validate_config`; it draws
+    a synthetic_classification stream and reads only ``stream.in_dim``."""
+    problems = []
+    method = REGISTRY.get(cfg.method)
+    policy = {**defaults("bandit"), **cfg.bandit}["policy"]
+    if method and not method.masked:
+        supported = [tag for tag, m in REGISTRY.items() if m.masked]
+        problems.append(f"method.name: lrkf bandit does not support {cfg.method!r}; "
+                        f"supported: {', '.join(supported)}")
+    elif method and policy == "thompson" and not method.sampler:
+        problems.append(f"bandit.policy: thompson needs a posterior to sample; "
+                        f"{cfg.method} has none, use epsilon_greedy")
+    if cfg.stream.get("kind", schema.CLASSES) != schema.CLASSES:
+        problems.append(f"stream.kind: lrkf bandit draws a {schema.CLASSES} stream, "
+                        f"not {cfg.stream['kind']!r}")
+    problems.extend(f"stream.{name}: not read by lrkf bandit; it reads kind and in_dim"
+                    for name in cfg.stream if name not in ("kind", "in_dim"))
+    return problems
+
+
 def run_bandit_experiment(cfg):
     """Bandit loop per seed; reward traces written in the metric schema.
 
@@ -310,18 +331,10 @@ def run_bandit_experiment(cfg):
     ``failures.txt``, as in :func:`run_experiment`."""
     from .bandit import FilterBanditAgent, SgdBanditAgent, env_from_stream, run_bandit
 
-    problems = validate_config(cfg)
-    method = REGISTRY.get(cfg.method)
-    b = {**defaults("bandit"), **cfg.bandit}
-    if method and not method.masked:
-        supported = [tag for tag, m in REGISTRY.items() if m.masked]
-        problems.append(f"method.name: lrkf bandit does not support {cfg.method!r}; "
-                        f"supported: {', '.join(supported)}")
-    elif method and b["policy"] == "thompson" and not method.sampler:
-        problems.append(f"bandit.policy: thompson needs a posterior to sample; "
-                        f"{cfg.method} has none, use epsilon_greedy")
+    problems = validate_config(cfg) + bandit_problems(cfg)
     if problems:
         raise ConfigError(problems)
+    b = {**defaults("bandit"), **cfg.bandit}
     os.makedirs(cfg.output, exist_ok=True)
     in_dim = {**defaults("stream", schema.CLASSES), **cfg.stream}["in_dim"]
     steps, actions = b["steps"], b["actions"]

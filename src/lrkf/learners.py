@@ -20,6 +20,7 @@ capabilities; the config keys each method reads are in :mod:`lrkf.schema`.
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -189,32 +190,24 @@ class DiagonalEkfLearner:
 
     def predict(self, x):
         pred = baselines.diagonal_predict(self.belief, self.dyn)
-        view = diagonal_as_dlr(pred)
-        return PredictOutput(np.asarray(x, dtype=float), self.model.forward(x, pred.mean), view)
+        return PredictOutput(np.asarray(x, dtype=float), self.model.forward(x, pred.mean), pred)
 
     def observe(self, x, y):
         step = baselines.vdekf_step if self.flavor == "vdekf" else baselines.fdekf_step
         self.belief, _ = step(self.belief, self.model, x, y, self.dyn)
 
 
-def diagonal_as_dlr(belief):
-    from .belief import DlrBelief
-
-    return DlrBelief(belief.mean, belief.diag_precision, np.zeros((belief.mean.shape[0], 0)))
-
-
 class SgdReplayLearner:
     """SGD or Adam over a FIFO replay buffer. Point estimate only."""
 
-    def __init__(self, model, seed, buffer_size=10, optimizer="sgd", lr=0.01,
-                 inner_iters=1, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, model, seed, buffer_size=10, optimizer="sgd", lr=0.01, inner_iters=1):
         self.model = model
         self.params = initialize_mean(model.spec, seed)
         self.buffer = baselines.ReplayBuffer(buffer_size)
         if optimizer == "sgd":
             self.optimizer = baselines.Sgd(lr)
         elif optimizer == "adam":
-            self.optimizer = baselines.Adam(lr, beta1, beta2, eps)
+            self.optimizer = baselines.Adam(lr)
         else:
             raise ValueError(f"unknown optimizer {optimizer!r}")
         self.inner_iters = inner_iters
@@ -225,7 +218,7 @@ class SgdReplayLearner:
     def observe(self, x, y):
         self.params = baselines.sgd_replay_step(
             self.params, self.buffer, x, y, self.optimizer,
-            inner_iters=self.inner_iters, model=self.model,
+            partial(baselines.nll_gradient, self.model), self.inner_iters,
         )
 
 

@@ -146,12 +146,17 @@ def _link(family, logits):
     return softmax(logits) if family.kind == "categorical" else logits
 
 
+def _softmax_cov(p):
+    """``diag(p) - p p^T``: softmax Jacobian and categorical covariance."""
+    return np.diag(p) - np.outer(p, p)
+
+
 def _link_jacobian(family, logits, jac):
     """Observation mean and its Jacobian from the raw output and its
     Jacobian."""
     mean = _link(family, logits)
     if family.kind == "categorical":
-        jac = (np.diag(mean) - np.outer(mean, mean)) @ jac
+        jac = _softmax_cov(mean) @ jac
     return mean, jac
 
 
@@ -332,14 +337,6 @@ class FunctionModel:
         return _link_jacobian(self.family, *self.logit_jacobian(x, theta))
 
 
-def _categorical_moments(probs):
-    """Clamped probabilities plus their moment-matched covariance."""
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    p = p / p.sum()
-    cov = np.diag(p) - np.outer(p, p)
-    return p, 0.5 * (cov + cov.T)
-
-
 def pseudo_whitener(cov):
     """A with A^T A = pinv(cov), dropping eigenvalues <= the floor."""
     vals, vecs = scipy.linalg.eigh(cov)
@@ -364,22 +361,19 @@ def linearize(model, x, mu):
     family = model.family
     if family.kind == "categorical":
         logits, logit_jac = model.logit_jacobian(x, mu)
-        y_hat, cov = _categorical_moments(softmax(logits))
-        sm = np.diag(y_hat) - np.outer(y_hat, y_hat)
-        return Linearization(y_hat, sm @ logit_jac, cov, pseudo_whitener(cov))
+        y_hat = np.clip(softmax(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
+        y_hat = y_hat / y_hat.sum()
+        cov = _softmax_cov(y_hat)  # also the softmax Jacobian at y_hat
+        return Linearization(y_hat, cov @ logit_jac, cov, pseudo_whitener(cov))
     y_hat, jac = model.jacobian(x, mu)
     c = y_hat.shape[0]
     return Linearization(y_hat, jac, family.obs_cov(c), family.obs_whitener(c))
 
 
-def initialize_mean(spec, rng_seed, scheme="lecun_normal"):
-    """Draw an initial flat parameter vector.
-
-    ``lecun_normal`` samples each weight from N(0, 1/fan_in) and sets
-    every bias to zero. Deterministic for a fixed seed.
+def initialize_mean(spec, rng_seed):
+    """Draw an initial flat parameter vector, LeCun normal: each weight
+    from N(0, 1/fan_in), every bias zero. Deterministic for a fixed seed.
     """
-    if scheme != "lecun_normal":
-        raise ValueError(f"unknown init scheme {scheme!r}")
     rng = np.random.default_rng(rng_seed)
     parts = []
     w = spec.layer_widths

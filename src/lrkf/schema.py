@@ -76,9 +76,6 @@ KEYS = (
     Key("tune", "steps", "int", 500, COUNT),
     Key("tune", "seed", "int", 0, NON_NEGATIVE),
     Key("tune", "objective", "str", "prequential_nll", ("prequential_nll", "validation_nll")),
-    *(Key("tune", f"space_{name}", "pair", (rng.low, rng.high),
-          readers=("gaussian",) if name == "obs_variance" else None)
-      for name, rng in DEFAULT_SPACE.items()),
     Key("bandit", "actions", "int", 5, COUNT),
     Key("bandit", "steps", "int", 2000, COUNT),
     Key("bandit", "policy", "str", "thompson", ("thompson", "epsilon_greedy")),
@@ -86,6 +83,9 @@ KEYS = (
     # the largest variance of a 0/1 reward, the agents' default too
     Key("bandit", "reward_variance", "float", 0.25, POSITIVE),
 )
+# ``space_<param> = lo hi`` takes the param's own range and readers
+KEYS += tuple(Key("tune", f"space_{name}", "pair", (rng.low, rng.high), key.allowed, key.readers)
+              for name, rng in DEFAULT_SPACE.items() for key in KEYS if key.name == name)
 
 # section -> key name -> its records, in table order
 SECTIONS = {}
@@ -172,7 +172,7 @@ def check(section, values, reader):
         elif key.nonempty and not values[name]:
             problems.append(f"{where}: needs at least one value")
         else:
-            items = values[name] if key.type in ("ints", "words") else [values[name]]
+            items = values[name] if key.type in ("ints", "words", "pair") else [values[name]]
             bad = [item for item in items if not _allows(key.allowed, item)]
             if bad and isinstance(key.allowed, str):
                 problems.append(f"{where}: {bad[0]!r} is outside {key.allowed}")

@@ -150,6 +150,32 @@ class TestRunBandit:
         with pytest.raises(NumericalDegeneracyError, match="non-finite gradient"):
             SgdBanditAgent(learner).learn(env.contexts[0], 1, 1.0)
 
+    @pytest.mark.parametrize("optimizer, inner_iters", [("sgd", 1), ("adam", 2)])
+    def test_sgd_agent_learn_equals_the_inline_replay_loop(self, optimizer, inner_iters):
+        # the agent's own buffer-and-step loop, as written before it shared
+        # baselines.sgd_replay_step
+        env = self._env(steps=30, actions=4, seed=2)
+        model = MlpModel(MlpSpec((3, 8, 4), activation="tanh"), GaussianFamily(0.25))
+
+        def learner():
+            return SgdReplayLearner(model, seed=0, buffer_size=5, optimizer=optimizer,
+                                    lr=0.05, inner_iters=inner_iters)
+
+        agent, ref = SgdBanditAgent(learner(), 0.3), learner()
+        for t in range(30):
+            x, action, reward = env.contexts[t], t % 4, env.reward(t, t % 4)
+            agent.learn(x, action, reward)
+            ref.buffer.append(x, np.array([action, reward]))
+            for _ in range(inner_iters):
+                grads = []
+                for bx, ar in ref.buffer:
+                    a, r = int(ar[0]), ar[1]
+                    values, jac = model.jacobian(bx, ref.params)
+                    grads.append(jac[a] * (values[a] - r) / 0.3)
+                ref.params = ref.optimizer.step(ref.params, np.mean(grads, axis=0))
+        assert len(agent.learner.buffer) == 5
+        np.testing.assert_array_equal(agent.learner.params, ref.params)
+
     def test_labels_validated(self):
         with pytest.raises(ValueError):
             BanditEnv(np.zeros((3, 2)), np.array([0, 5, 1]), num_actions=3)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from lrkf.baselines import (
     fdekf_step,
     iterated_ekf_update,
     iterated_lowrank_update,
+    nll_gradient,
     sgd_replay_step,
     vdekf_step,
 )
@@ -165,6 +168,33 @@ class TestDiagonalEkfs:
         np.testing.assert_array_equal(out.mean, mean)
         np.testing.assert_array_equal(out.diag_precision, 1.0 / cov_diag)
 
+    @pytest.mark.parametrize("mean, diag, match", [
+        (np.zeros(3), np.array([1.0, 0.0, 1.0]), "finite and > 0"),
+        (np.zeros(3), np.array([1.0, np.nan, 1.0]), "finite and > 0"),
+        (np.zeros(3), np.ones(4), "equal-length vectors"),
+        (np.zeros((3, 1)), np.ones((3, 1)), "equal-length vectors"),
+    ])
+    def test_diagonal_belief_raises_the_dlr_errors(self, mean, diag, match):
+        from lrkf.belief import DlrBelief
+
+        with pytest.raises(ValueError, match=match) as diag_info:
+            DiagonalBelief(mean, diag)
+        with pytest.raises(ValueError, match=match) as dlr_info:
+            DlrBelief(mean, diag, np.zeros((np.size(mean), 0)))
+        assert str(diag_info.value) == str(dlr_info.value)
+
+    def test_diagonal_belief_is_a_dlr_belief_without_factor_columns(self):
+        from lrkf.belief import DlrBelief
+
+        b = DiagonalBelief([0.5, -1.0], [2.0, 3.0])
+        assert isinstance(b, DlrBelief)
+        assert b.low_rank.shape == (2, 0) and b.rank == 0 and b.dim == 2
+        np.testing.assert_array_equal(b.diag_precision, [2.0, 3.0])
+        with pytest.raises(TypeError):
+            DiagonalBelief(np.zeros(2), np.ones(2), np.ones((2, 1)))
+        with pytest.raises(TypeError):
+            DiagonalBelief(np.zeros(2), np.ones(2), low_rank=np.zeros((2, 0)))
+
     def test_lowrank_rank0_equals_vdekf_over_50_steps(self):
         from lrkf.belief import DlrBelief
         from lrkf.diagonal import step as lr_step
@@ -205,7 +235,7 @@ class TestSgdReplay:
         params = np.array([0.5, -0.5])
         buf = ReplayBuffer(3)
         out = sgd_replay_step(params, buf, np.array([1.0, 2.0]), np.array([1.0]),
-                              Sgd(0.0), inner_iters=3, model=model)
+                              Sgd(0.0), inner_iters=3, grad=partial(nll_gradient, model))
         assert out == pytest.approx(params)
 
     def test_single_datum_sgd_step_matches_hand_formula(self):
@@ -215,7 +245,8 @@ class TestSgdReplay:
         buf = ReplayBuffer(1)
         x, y = np.array([1.0, -1.0]), np.array([3.0])
         lr = 0.1
-        out = sgd_replay_step(params, buf, x, y, Sgd(lr), inner_iters=1, model=model)
+        out = sgd_replay_step(params, buf, x, y, Sgd(lr), inner_iters=1,
+                              grad=partial(nll_gradient, model))
         # grad of 0.5 (y - th@x)^2 / r at th=0 is -x y / r
         assert out == pytest.approx(lr * x * y[0] / r)
 
@@ -226,7 +257,8 @@ class TestSgdReplay:
         x, y = np.array([1.0]), np.array([2.0])
         lr, eps = 0.05, 1e-8
         opt = Adam(lr, eps=eps)
-        out = sgd_replay_step(params, buf, x, y, opt, inner_iters=1, model=model)
+        out = sgd_replay_step(params, buf, x, y, opt, inner_iters=1,
+                              grad=partial(nll_gradient, model))
         g = -x[0] * y[0]  # gradient at zero
         expected = -lr * np.sign(g) * abs(g) / (abs(g) + eps)
         assert out[0] == pytest.approx(expected, rel=1e-9)
@@ -238,7 +270,7 @@ class TestSgdReplay:
         buf = ReplayBuffer(1)
         with pytest.raises(NumericalDegeneracyError):
             sgd_replay_step(np.array([np.inf]), buf, np.array([1.0]), np.array([0.0]),
-                            Sgd(0.1), inner_iters=1, model=model)
+                            Sgd(0.1), inner_iters=1, grad=partial(nll_gradient, model))
 
 
 def cubic_model(r=1.0):
@@ -314,6 +346,45 @@ class TestIteratedEkf:
                      for n in (1, 2, 4)]
             assert costs[1] <= costs[0] + 1e-12
             assert costs[2] <= costs[1] + 1e-12
+
+
+# Posterior means of 3 relinearized passes on an MLP 2-3-1 (P = 13) whose
+# line search takes steps of 1, 0.2 and 0.4 (iekf) and 1, 0.2 and 0.2
+# (ilrekf), recorded to 17 significant digits from the two updates as they
+# stood before they shared one relinearize/line-search loop.
+PINNED_IEKF_MEAN = np.array([
+    1.4407780078898542, -1.8039684171570562, 0.40263649279738589, -0.544135022739758,
+    -0.60740412257729881, 0.230660102143594, -0.0026330474387764712, 0.11888440341256974,
+    -0.31925859847412458, -0.13779215446942339, 0.50317177771291643, -1.0052370678603944,
+    1.030478427092981,
+])
+PINNED_ILREKF_MEAN = np.array([
+    0.88274481270762162, -1.3809687343728525, 0.017693183730069409, -0.076635721036479823,
+    -0.62493541566475064, 0.23227266388777182, -0.28263097287945049, 0.1571236279363511,
+    -0.33188723077732052, -0.044751182806327082, 0.23481859921113651, -1.3167307472675276,
+    0.8609782083105415,
+])
+
+
+def pinned_problem():
+    model = MlpModel(MlpSpec((2, 3, 1), activation="tanh"), GaussianFamily(0.05))
+    mean = initialize_mean(model.spec, 3)
+    return model, mean, np.array([0.9, -1.2]), np.array([2.5])
+
+
+def test_iterated_ekf_mean_is_pinned():
+    model, mean, x, y = pinned_problem()
+    b = DenseBelief(mean, 0.3 * np.eye(model.parameter_count))
+    out = iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=3))
+    np.testing.assert_array_equal(out.mean, PINNED_IEKF_MEAN)
+
+
+def test_iterated_lowrank_mean_is_pinned():
+    model, mean, x, y = pinned_problem()
+    b = random_spherical(model.parameter_count, 3, seed=5)
+    b = type(b)(mean, 0.3, b.basis, b.singular_values)
+    out = iterated_lowrank_update(b, model, x, y, IteratedConfig(num_iters=3), rank=3)
+    np.testing.assert_array_equal(out.mean, PINNED_ILREKF_MEAN)
 
 
 class TestIteratedLowRank:

@@ -103,6 +103,23 @@ def test_prequential_eval_runs_two_mlp_passes_per_event(count_mlp_passes, tag):
     assert count_mlp_passes == {"forward": len(events), "passes": 2 * len(events)}
 
 
+def test_vdekf_builds_three_beliefs_per_event(monkeypatch):
+    # predict's predicted belief, observe's own prediction and the
+    # posterior; predict used to copy its belief into a DlrBelief view too
+    from lrkf.baselines import DiagonalBelief
+
+    built = []
+    for cls in (belief.DlrBelief, DiagonalBelief):
+        real = cls.__dict__["__post_init__"]
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, real=real: built.append(self) or real(self))
+    model, events = sine_setup()
+    learner = build_learner("vdekf", model, {"process_noise": 1e-4}, seed=0)
+    built.clear()
+    prequential_eval(learner, events, ("rmse", "nll", "nlpd"), nlpd_samples=4)
+    assert len({id(b) for b in built}) == 3 * len(events)
+
+
 def test_nlpd_adds_one_batched_pass_per_event(count_mlp_passes):
     model, events = sine_setup()
     learner = build_learner("lrekf", model, PARAMS, seed=0)

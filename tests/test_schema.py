@@ -5,12 +5,13 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lrkf import schema
 from lrkf.bandit import FilterBanditAgent
 from lrkf.cli import main
-from lrkf.harness import parse_config, run_experiment, validate_config
+from lrkf.harness import bandit_problems, parse_config, run_experiment, validate_config
 from lrkf.learners import REGISTRY
 from lrkf.schema import defaults
 
@@ -153,3 +154,68 @@ def test_readme_grammar_names_every_key():
             assert name in named, f"{section}.{name}"
     for kind in schema.KINDS:
         assert kind in named
+
+
+@pytest.mark.parametrize("param, bounds, allowed", [
+    ("gamma", "1.5 2.0", "[0, 1]"),
+    ("gamma", "-0.5 0.9", "[0, 1]"),
+    ("process_noise", "-1 1e-2", "[0, inf)"),
+    ("initial_precision", "0 10", "(0, inf)"),
+    ("obs_variance", "-1 1", "(0, inf)"),
+])
+def test_tune_space_bounds_lie_in_the_params_range(param, bounds, allowed, tmp_path, capsys):
+    # space_gamma = 1.5 2.0 passed validate, then failed every gamma draw in tune
+    path = sine_config(tmp_path, "budget = 10", f"budget = 1\nseed = 1\nspace_{param} = {bounds}")
+    problem = f"tune.space_{param}: {float(bounds.split()[0])!r} is outside {allowed}"
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == problem
+    assert main(["tune", path]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {problem}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_tune_with_every_trial_failed_exits_1_in_one_line(tmp_path, capsys):
+    # a prior variance of 1e300 overflows the first truncation of each trial
+    path = sine_config(tmp_path, "budget = 10", "budget = 2\nspace_initial_precision = 1e-300 1e-300")
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main(["tune", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tune error: all 2 tuning trials failed: NumericalDegeneracyError: ")
+    assert err.count("\n") == 1
+
+
+BANDIT_INI = (REPO / "demos/configs/bandit.ini").read_text()
+
+
+@pytest.mark.parametrize("old, new, problem", [
+    ("in_dim = 8", "in_dim = 8\nnum_classes = 7", "stream.num_classes: not read by lrkf bandit"),
+    ("in_dim = 8", "in_dim = 8\nsteps = 50", "stream.steps: not read by lrkf bandit"),
+    ("in_dim = 8", "in_dim = 8\nmargin_noise = 3.0", "stream.margin_noise: not read by lrkf bandit"),
+    ("kind = synthetic_classification\nin_dim = 8", "kind = permuted_classification\nin_dim = 8",
+     "stream.kind: lrkf bandit draws a synthetic_classification stream, not "
+     "'permuted_classification'"),
+])
+def test_bandit_rejects_stream_settings_it_ignores(old, new, problem, tmp_path, capsys):
+    # each key once left bandit_metrics.csv byte-identical to the run without it
+    assert old in BANDIT_INI
+    text = BANDIT_INI.replace(old, new).replace("output = out/bandit", f"output = {tmp_path / 'out'}")
+    (tmp_path / "b.ini").write_text(text)
+    assert main(["bandit", str(tmp_path / "b.ini")]) == 1
+    assert f"config error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+SHIPPED_CONFIGS = sorted([*REPO.glob("demos/configs/*.ini"), *REPO.glob("perfbench/configs/*.ini")])
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.name for p in SHIPPED_CONFIGS])
+def test_shipped_config_passes_the_verb_on_its_first_line(path):
+    # "; lrkf <verb> <path>" on the first line names the verb; run otherwise
+    words = path.read_text().splitlines()[0].lstrip(";# ").split()
+    verb = words[1] if words[:1] == ["lrkf"] else "run"
+    assert verb in ("run", "tune", "bandit")
+    cfg = parse_config(str(path))
+    problems = validate_config(cfg) + (bandit_problems(cfg) if verb == "bandit" else [])
+    assert problems == []

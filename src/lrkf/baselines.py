@@ -18,8 +18,9 @@
 Every update checks its innovation with ``Linearization.innovation``; the
 iterated low-rank update steps by :func:`~lrkf.linalg.woodbury_mean` and
 ends in :func:`~lrkf.spherical.truncate`. The FCEKF Cholesky solve and the
-pinv gain form of the diagonal EKFs and the iterated EKF stay separate as
-references for that core.
+gain form of the diagonal EKFs and the iterated EKF, whose pseudo-inverse
+is :func:`~lrkf.linalg.sym_pinv`, stay separate as references for that
+core.
 """
 
 from collections import deque
@@ -30,7 +31,7 @@ import scipy.linalg
 
 from .belief import DenseBelief, DlrBelief
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise, symmetrize, woodbury_mean
+from .linalg import chol_or_raise, sym_pinv, symmetrize, woodbury_mean
 from .models import linearize, softmax
 from .spherical import truncate
 
@@ -104,8 +105,7 @@ def _diagonal_mean_update(belief_pred, lin, y):
     var = 1.0 / belief_pred.diag_precision
     cross = var[:, None] * lin.jacobian.T  # Ups^-1 H^T, (P, C)
     s = lin.jacobian @ cross + lin.obs_cov
-    # pinv covers the singular moment-matched covariance of classification
-    s_pinv = np.linalg.pinv(symmetrize(s), hermitian=True)
+    s_pinv = sym_pinv(symmetrize(s))
     return belief_pred.mean + cross @ (s_pinv @ innov), cross, s_pinv
 
 
@@ -279,7 +279,7 @@ def iterated_ekf_update(belief_pred, model, x, y, icfg):
     def step(lin, innov, d):
         jac = lin.jacobian
         s = jac @ cov @ jac.T + lin.obs_cov
-        gain = cov @ jac.T @ np.linalg.pinv(symmetrize(s), hermitian=True)
+        gain = cov @ jac.T @ sym_pinv(symmetrize(s))
         return d + gain @ innov
 
     mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)

@@ -13,6 +13,7 @@ Beliefs are immutable snapshots: every filter operation returns a new
 instance, so they are safe to share between threads.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,10 @@ class DlrBelief:
     low_rank : ndarray, shape (P, L)
         Low-rank factor; the implied precision is
         ``diag(diag_precision) + low_rank @ low_rank.T``. L may be 0.
+
+    Any layout of ``low_rank`` is accepted. The filters of
+    :mod:`lrkf.diagonal` keep it column-contiguous (Fortran order), so the
+    per-row scalings and P x L products of a step stream whole columns.
     """
 
     mean: np.ndarray
@@ -202,7 +207,8 @@ def sample_parameters(belief, n, rng_seed, method="lowrank"):
 # Checkpointing
 #
 # A belief is stored as a single flat float64 record:
-#   [kind, P, L, mean (P), diag (P), factor (P*L, row-major)]
+#   [kind, P, L, mean (P), diag (P), factor (P*L, row-major, whatever the
+#    layout in memory)]
 # kind 0 = DLR (diag = diag_precision, factor = low_rank)
 # kind 1 = spherical (diag[0] = eta, factor columns = basis * lam; the
 #          basis and singular values are recovered by thin SVD)
@@ -218,14 +224,30 @@ def save_belief(path, belief):
 
 
 def load_belief(path):
-    """Read a belief written by :func:`save_belief`."""
+    """Read a belief written by :func:`save_belief`; a DLR factor comes
+    back column-contiguous. A record that is not one whole belief (wrong
+    length, unknown kind, non-integral sizes) raises a ValueError naming
+    ``path``."""
     rec = np.fromfile(path, dtype=np.float64)
-    kind, p, rank = int(rec[0]), int(rec[1]), int(rec[2])
+    if rec.size < 3:
+        raise ValueError(f"{path}: not a belief record (no [kind, P, L] header)")
+    if rec[0] not in (0.0, 1.0):
+        raise ValueError(f"{path}: belief kind {rec[0]:g} is neither 0 (DLR) nor 1 (spherical)")
+    sizes = rec[1:3]
+    if not (np.isfinite(sizes).all() and (sizes >= 0).all() and (sizes == np.floor(sizes)).all()):
+        raise ValueError(f"{path}: sizes P={sizes[0]:g}, L={sizes[1]:g} are not whole numbers")
+    kind, p, rank = int(rec[0]), int(sizes[0]), int(sizes[1])
+    nbytes = os.path.getsize(path)
+    if rec.size != 3 + 2 * p + p * rank or nbytes % rec.itemsize:
+        raise ValueError(
+            f"{path}: {nbytes} bytes do not hold the "
+            f"3 + 2P + P*L = {3 + 2 * p + p * rank} float64 values of P={p}, L={rank}"
+        )
     mean = rec[3 : 3 + p]
     diag = rec[3 + p : 3 + 2 * p]
     w = rec[3 + 2 * p :].reshape(p, rank)
     if kind == 0:
-        return DlrBelief(mean, diag, w)
+        return DlrBelief(mean, diag, np.asfortranarray(w))
     from .spherical import truncate  # deferred: avoids import cycle
 
     return truncate(mean, diag[0], w, np.zeros((p, 0)), rank, "load_belief")

@@ -17,6 +17,15 @@ The filter alternates two closed-form moves on a :class:`~lrkf.belief.DlrBelief`
 
 With rank L = 0 the recursion collapses to a variational diagonal EKF;
 with L = P it reproduces the full-covariance EKF.
+
+Layout: every P x K factor the filter builds (the belief's ``low_rank``,
+the extended factor, the singular vectors) is column-contiguous (Fortran
+order). The step's memory passes, the row scalings ``ratio[:, None] * W``
+and ``U * s``, the stack and the P x K products, then stream whole
+columns. Over row-major factors each pass runs P short inner loops of
+L + C entries, over a quarter of the step at P = 12,010. A belief with a
+row-major factor is accepted and gives the same result up to rounding;
+the beliefs returned are column-contiguous.
 """
 
 from dataclasses import dataclass, field
@@ -77,7 +86,7 @@ def initial_belief(model, cfg, rng_seed):
     mean = initialize_mean(model.spec, rng_seed)
     p = mean.shape[0]
     diag = np.full(p, cfg.dynamics.initial_precision)
-    return DlrBelief(mean, diag, np.zeros((p, cfg.rank)))
+    return DlrBelief(mean, diag, np.zeros((p, cfg.rank), order="F"))
 
 
 def predict(belief, cfg):
@@ -95,7 +104,7 @@ def predict(belief, cfg):
     ups_pred = 1.0 / (g * g / ups + q)
     w = belief.low_rank
     if w.shape[1] == 0 or g == 0.0:
-        return DlrBelief(mean, ups_pred, np.zeros((belief.dim, w.shape[1])))
+        return DlrBelief(mean, ups_pred, np.zeros(w.shape, order="F"))
     ratio = ups_pred / ups
     scaled = ratio[:, None] * w
     core = np.eye(w.shape[1]) + q * (w.T @ scaled)
@@ -104,7 +113,8 @@ def predict(belief, cfg):
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(f"predict core inversion failed: {exc}") from exc
     chol = chol_or_raise(symmetrize(core_inv), "predict core")
-    return DlrBelief(mean, ups_pred, g * scaled @ chol)
+    w_pred = np.matmul(scaled, g * chol, out=np.empty(w.shape, order="F"))
+    return DlrBelief(mean, ups_pred, w_pred)
 
 
 def update(belief_pred, lin, y, cfg):
@@ -114,7 +124,10 @@ def update(belief_pred, lin, y, cfg):
     posterior precision is ``diag(ups) + Wt Wt^T`` where Wt appends the
     whitened Jacobian columns; the returned belief truncates Wt to rank
     ``cfg.rank`` and adds the discarded rows' squares to the diagonal,
-    keeping ``diag`` of the precision exact.
+    keeping ``diag`` of the precision exact. Wt stacks two
+    column-contiguous blocks, so it is column-contiguous too. The singular
+    vectors are scaled in place, and the returned factor is a view of
+    their first ``cfg.rank`` columns: no further P x K array is allocated.
     """
     innov = lin.innovation(y)
     ups = belief_pred.diag_precision
@@ -122,11 +135,11 @@ def update(belief_pred, lin, y, cfg):
     mean = woodbury_mean(belief_pred.mean, ups, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
 
     s, u = thin_svd(w_ext)
+    u *= s  # in place: the kept factor and the dropped columns are views
     rank = cfg.rank
-    w_new = u[:, :rank] * s[:rank]
-    dropped = u[:, rank:] * s[rank:]
+    dropped = u[:, rank:]
     ups_new = ups + np.einsum("ij,ij->i", dropped, dropped)
-    return DlrBelief(mean, ups_new, w_new)
+    return DlrBelief(mean, ups_new, u[:, :rank])
 
 
 def step(belief, x, y, model, cfg):

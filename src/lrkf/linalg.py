@@ -2,14 +2,19 @@
 
 Everything here works on plain float64 ndarrays and avoids forming any
 P x P matrix. :func:`woodbury_mean` is the one mean solve of every
-low-rank update and of inflation. The deterministic sign and tie
+low-rank update and of inflation, and :func:`sym_pinv` the one
+pseudo-inverse of the gain-form filters. The deterministic sign and tie
 conventions make filter trajectories reproducible run to run.
+
+P x K factors are kept column-contiguous (Fortran order): :func:`thin_svd`
+returns U that way, and the row scalings, stacks and products of the
+callers then stream whole columns. Inputs may have any layout.
 """
 
 from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork
+from scipy.linalg.lapack import dsyevd, dsyevr, dsyevr_lwork
 
 from .exceptions import NumericalDegeneracyError
 
@@ -56,6 +61,33 @@ def _gram_eigh(gram):
     return vals, vecs
 
 
+def sym_pinv(a):
+    """Pseudo-inverse of a symmetric matrix, ``V diag(1/lam) V^T`` over the
+    eigenvalues with ``|lam| > 1e-15 * max|lam|`` (numpy's ``pinv`` cutoff).
+
+    It covers the singular moment-matched innovation covariance of a
+    categorical likelihood. Only the lower triangle of ``a`` is read, by
+    one direct LAPACK ``dsyevd`` call: the driver of ``np.linalg.eigh``,
+    whose eigenvalues it matches bit for bit. (``dsyevr``, the driver of
+    :func:`_gram_eigh`, resolves the null direction of a singular ``a``
+    only to about ``2e-15 * max|lam|``, above the cutoff, and would invert
+    that noise.) For a 1 x 1 ``a`` the result is exactly ``1 / a``, as
+    from ``np.linalg.pinv(a, hermitian=True)``, at about a quarter of its
+    cost.
+    A non-finite ``a`` or a failed call raises NumericalDegeneracyError.
+    """
+    if not np.isfinite(a).all():
+        raise NumericalDegeneracyError("sym_pinv: non-finite matrix")
+    vals, vecs, info = dsyevd(a, compute_v=1, lower=1)
+    if info:
+        raise NumericalDegeneracyError(f"sym_pinv: dsyevd failed with info={info}")
+    mag = np.abs(vals)
+    inv = np.zeros_like(vals)
+    live = mag > 1e-15 * mag.max()
+    inv[live] = 1.0 / vals[live]
+    return (vecs * inv) @ vecs.T
+
+
 def thin_svd(w):
     """Left singular vectors and singular values of a tall matrix.
 
@@ -68,7 +100,7 @@ def thin_svd(w):
     s : ndarray, shape (K,)
         Singular values, sorted non-increasing. Values below
         ``RANK_EPS * s.max()`` are zeroed.
-    u : ndarray, shape (P, K)
+    u : ndarray, shape (P, K), Fortran order
         Matching left singular vectors; columns paired with zeroed
         singular values are zero columns. Nonzero columns carry a
         deterministic sign (first nonzero entry positive). Ties in the
@@ -81,7 +113,8 @@ def thin_svd(w):
     eigendecomposition is one direct LAPACK ``dsyevr`` call, bit-identical
     to ``scipy.linalg.eigh`` at a fraction of the call overhead. With
     ``w.T w = V diag(s^2) V^T``, U is formed by one matrix product
-    ``w @ F``, ``F = V[:, live] / s[live]``. The sign rule is folded into
+    ``w @ F``, ``F = V[:, live] / s[live]``, written column-contiguous
+    whatever the layout of ``w``. The sign rule is folded into
     the K x K factor F: a column of F is negated when the matching entry
     of row 0 of U, ``w[0] @ F``, is negative. Only when some live column
     still has ``u[0, j] <= 0`` afterwards (a zero leading entry, or a
@@ -105,7 +138,7 @@ def thin_svd(w):
         factor = np.zeros((k, k))
         factor[:, :live] = vecs[:, order[:live]] / s[:live]
         factor[:, w[0] @ factor < 0] *= -1.0
-        u = w @ factor
+        u = np.matmul(w, factor, out=np.empty((p, k), order="F"))
         if (u[0, :live] > 0).all():
             return s, u
     else:
@@ -123,7 +156,7 @@ def thin_svd(w):
             # pad so callers always see K columns
             s = np.concatenate([s, np.zeros(k - p)])
             u = np.hstack([u, np.zeros((p, k - p))])
-    return s, fix_column_signs(u)
+    return s, fix_column_signs(np.asfortranarray(u))
 
 
 def woodbury_mean(mean, diag, w, rhs):

@@ -116,9 +116,10 @@ class Linearization:
 
     @cached_property
     def whitened_jacobian_t(self):
-        """``jacobian.T @ whitener.T`` (P, C): the whitened Jacobian columns
-        a low-rank update appends to its factor, built once."""
-        return self.jacobian.T @ self.whitener.T
+        """``(whitener @ jacobian).T`` (P, C), column-contiguous: the
+        whitened Jacobian columns a low-rank update appends to its factor,
+        built once."""
+        return (self.whitener @ self.jacobian).T
 
     def apply_r_inv(self, v):
         """R^-1 v (pseudo-inverse when R is singular)."""

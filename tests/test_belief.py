@@ -217,6 +217,57 @@ class TestCheckpointing:
         orig = spherical_to_dense(b).precision
         assert spherical_to_dense(back).precision == pytest.approx(orig, abs=1e-10)
 
+    def test_f_ordered_factor_roundtrips_bit_for_bit(self, tmp_path):
+        b = random_dlr(7, 3, seed=12)
+        b = DlrBelief(b.mean, b.diag_precision, np.asfortranarray(b.low_rank))
+        path = tmp_path / "belief.bin"
+        save_belief(path, b)
+        rec = np.fromfile(path, dtype=np.float64)
+        np.testing.assert_array_equal(rec[3 + 2 * 7:], b.low_rank.ravel(order="C"))  # row-major on disk
+        back = load_belief(path)
+        np.testing.assert_array_equal(back.mean, b.mean)
+        np.testing.assert_array_equal(back.diag_precision, b.diag_precision)
+        np.testing.assert_array_equal(back.low_rank, b.low_rank)
+        assert back.low_rank.flags.f_contiguous
+
+    @staticmethod
+    def write(path, values):
+        np.asarray(values, dtype=np.float64).tofile(path)
+        return path
+
+    @pytest.mark.parametrize("cut", [8, 3, 2 * 8])
+    def test_truncated_record_names_the_path(self, tmp_path, cut):
+        path = tmp_path / "belief.bin"
+        save_belief(path, random_dlr(5, 2, seed=1))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"{path}: .* 3 \\+ 2P \\+ P\\*L = 23"):
+            load_belief(path)
+
+    def test_extra_values_are_rejected(self, tmp_path):
+        path = tmp_path / "belief.bin"
+        save_belief(path, random_dlr(5, 2, seed=1))
+        path.write_bytes(path.read_bytes() + np.zeros(1).tobytes())
+        with pytest.raises(ValueError, match=str(path)):
+            load_belief(path)
+
+    @pytest.mark.parametrize("kind", [2.0, -1.0, 0.5, np.nan])
+    def test_unknown_kind_names_the_path(self, tmp_path, kind):
+        path = self.write(tmp_path / "belief.bin", [kind, 1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=f"{path}: belief kind .* is neither 0"):
+            load_belief(path)
+
+    @pytest.mark.parametrize("p, rank", [(2.5, 0.0), (1.0, 0.5), (-1.0, -2.0), (np.inf, 1.0)])
+    def test_non_integral_sizes_name_the_path(self, tmp_path, p, rank):
+        path = self.write(tmp_path / "belief.bin", [0.0, p, rank, 0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match=f"{path}: sizes .* are not whole numbers"):
+            load_belief(path)
+
+    def test_empty_file_names_the_path(self, tmp_path):
+        path = tmp_path / "belief.bin"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=f"{path}: not a belief record"):
+            load_belief(path)
+
     def test_record_layout_is_flat_float64(self, tmp_path):
         b = DlrBelief(np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([[5.0], [6.0]]))
         path = tmp_path / "belief.bin"

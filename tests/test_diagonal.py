@@ -6,7 +6,16 @@ from hypothesis import strategies as st
 from lrkf.belief import DlrBelief
 from lrkf.diagonal import DynamicsConfig, LowRankConfig, initial_belief, predict, step, update
 from lrkf.exceptions import NumericalDegeneracyError
-from lrkf.models import FunctionModel, GaussianFamily, Linearization, MlpModel, MlpSpec, initialize_mean, linearize
+from lrkf.models import (
+    CategoricalFamily,
+    FunctionModel,
+    GaussianFamily,
+    Linearization,
+    MlpModel,
+    MlpSpec,
+    initialize_mean,
+    linearize,
+)
 
 from conftest import dense_precision, random_dlr
 
@@ -301,3 +310,62 @@ def test_predict_cost_scales_with_rank_squared():
     t1, t2 = best[16], best[32]
     print(f"predict time L=16: {t1:.4f}s, L=32: {t2:.4f}s, ratio {t2 / t1:.2f}")
     assert t2 > t1  # directional only; the ~4x factor is printed above
+
+
+class TestFactorLayout:
+    """The filter keeps every P x L factor column-contiguous, and a
+    row-major input factor gives the same result up to rounding."""
+
+    @staticmethod
+    def categorical_step_inputs(rank):
+        model = MlpModel(MlpSpec((3, 5, 4)), CategoricalFamily())
+        cfg = LowRankConfig(rank=rank, dynamics=DynamicsConfig(0.99, 1e-3, 1.0))
+        rng = np.random.default_rng(31)
+        lin = linearize(model, rng.standard_normal(3), initialize_mean(model.spec, 2))
+        return model, cfg, lin, np.eye(4)[1]
+
+    @staticmethod
+    def assert_close(got, ref):
+        for a, b in zip((got.mean, got.diag_precision, got.low_rank),
+                        (ref.mean, ref.diag_precision, ref.low_rank)):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_initial_belief_is_f_contiguous(self):
+        model, cfg, _, _ = self.categorical_step_inputs(rank=4)
+        assert initial_belief(model, cfg, rng_seed=0).low_rank.flags.f_contiguous
+
+    @pytest.mark.parametrize("gamma", [0.99, 1.0, 0.0])
+    def test_predict_and_update_return_f_contiguous_factors(self, gamma):
+        model, _, lin, y = self.categorical_step_inputs(rank=4)
+        cfg = LowRankConfig(rank=4, dynamics=DynamicsConfig(gamma, 1e-3, 1.0))
+        b = random_dlr(model.parameter_count, 4, seed=3)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            pred = predict(DlrBelief(b.mean, b.diag_precision, layout(b.low_rank)), cfg)
+            assert pred.low_rank.flags.f_contiguous
+            assert update(pred, lin, y, cfg).low_rank.flags.f_contiguous
+
+    def test_whitened_jacobian_is_f_contiguous(self):
+        _, _, lin, _ = self.categorical_step_inputs(rank=4)
+        assert lin.whitened_jacobian_t.flags.f_contiguous
+
+    def test_learner_keeps_the_layout_through_observe(self):
+        from lrkf.learners import build_learner
+        from lrkf.streams import gen_synthetic_classification
+
+        model = MlpModel(MlpSpec((3, 5, 4)), CategoricalFamily())
+        params = {"rank": 3, "process_noise": 1e-4, "inflation": "hybrid", "inflation_alpha": 0.05}
+        learner = build_learner("lrekf", model, params, seed=0)
+        for ev in gen_synthetic_classification(5, in_dim=3, num_classes=4, seed=0):
+            learner.predict(ev.x)
+            learner.observe(ev.x, ev.y)
+            assert learner.belief.low_rank.flags.f_contiguous
+
+    @pytest.mark.parametrize("rank", [2, 4, 6])
+    def test_c_ordered_input_matches_its_f_ordered_copy(self, rank):
+        model, cfg, lin, y = self.categorical_step_inputs(rank)
+        b = random_dlr(model.parameter_count, rank, seed=rank)
+        c_b = DlrBelief(b.mean, b.diag_precision, np.ascontiguousarray(b.low_rank))
+        f_b = DlrBelief(b.mean, b.diag_precision, np.asfortranarray(b.low_rank))
+        assert c_b.low_rank.flags.c_contiguous and not c_b.low_rank.flags.f_contiguous
+        self.assert_close(predict(c_b, cfg), predict(f_b, cfg))
+        self.assert_close(update(c_b, lin, y, cfg), update(f_b, lin, y, cfg))

@@ -4,7 +4,8 @@ import scipy.linalg
 
 from lrkf import linalg
 from lrkf.exceptions import NumericalDegeneracyError
-from lrkf.linalg import fix_column_signs, thin_svd, woodbury_mean
+from lrkf.linalg import fix_column_signs, sym_pinv, symmetrize, thin_svd, woodbury_mean
+from lrkf.models import CategoricalFamily, MlpModel, MlpSpec, initialize_mean, linearize
 
 
 def first_nonzero(col):
@@ -142,6 +143,60 @@ class TestDirectSyevr:
         w[2, 3] = bad
         with pytest.raises(NumericalDegeneracyError, match="thin_svd: non-finite"):
             thin_svd(w)
+
+
+class TestThinSvdLayout:
+    """U comes back column-contiguous on every route, for either input
+    layout, with the same values."""
+
+    @pytest.mark.parametrize("shape", [(40, 7), (5, 5), (4, 7)])
+    def test_u_is_f_contiguous(self, shape):
+        w = np.random.default_rng(8).standard_normal(shape)
+        s, u = thin_svd(w)
+        s_f, u_f = thin_svd(np.asfortranarray(w))
+        assert u.flags.f_contiguous and u_f.flags.f_contiguous
+        np.testing.assert_allclose(s_f, s, rtol=1e-13)
+        np.testing.assert_allclose(u_f, u, rtol=0, atol=1e-13)
+
+    def test_sign_fallback_keeps_the_layout(self):
+        w = np.random.default_rng(5).standard_normal((25, 4))
+        w[0] = 0.0
+        assert thin_svd(w)[1].flags.f_contiguous
+
+
+def moment_matched_s(c, seed):
+    """``S = H diag(v) H^T + R`` of a categorical MLP with C classes: every
+    row of H and of R sums to zero, so S is singular along the ones vector."""
+    model = MlpModel(MlpSpec((4, 8, c)), CategoricalFamily())
+    rng = np.random.default_rng(seed)
+    lin = linearize(model, rng.standard_normal(4), initialize_mean(model.spec, seed))
+    var = rng.uniform(0.1, 2.0, model.parameter_count)
+    return symmetrize(lin.jacobian @ (var[:, None] * lin.jacobian.T) + lin.obs_cov)
+
+
+class TestSymPinv:
+    @pytest.mark.parametrize("value", [0.37, 2.5e-7, 1.3e5, -0.8, 0.0])
+    def test_scalar_matches_numpy_bit_for_bit(self, value):
+        a = np.array([[value]])
+        np.testing.assert_array_equal(sym_pinv(a), np.linalg.pinv(a, hermitian=True))
+
+    def test_scalar_innovation_covariances_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for a in rng.lognormal(0.0, 4.0, (200, 1, 1)):
+            np.testing.assert_array_equal(sym_pinv(a), np.linalg.pinv(a, hermitian=True))
+
+    @pytest.mark.parametrize("c", range(2, 11))
+    def test_singular_moment_matched_s_matches_numpy(self, c):
+        for seed in range(10):
+            s = moment_matched_s(c, seed)
+            assert np.linalg.matrix_rank(s) == c - 1
+            ref = np.linalg.pinv(s, hermitian=True)
+            got = sym_pinv(s)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(NumericalDegeneracyError, match="sym_pinv: non-finite"):
+            sym_pinv(np.array([[1.0, np.nan], [np.nan, 2.0]]))
 
 
 class TestFixColumnSigns:

@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .belief import DenseBelief, DlrBelief
 from .exceptions import NumericalDegeneracyError
@@ -70,6 +69,11 @@ def dense_update(belief_pred, lin, y):
     prec = symmetrize(belief_pred.precision + wh @ wh.T)
     chol = chol_or_raise(prec, "posterior precision")
     gain_rhs = lin.jacobian.T @ lin.apply_r_inv(innov)
+    # fcekf is the one method that loads scipy, here on first use, to keep
+    # the bits of its Cholesky solve; the covariance form (ROADMAP item 2)
+    # drops this import.
+    import scipy.linalg
+
     mean = belief_pred.mean + scipy.linalg.cho_solve((chol, True), gain_rhs)
     return DenseBelief(mean, prec)
 

@@ -3,18 +3,17 @@
 Everything here works on plain float64 ndarrays and avoids forming any
 P x P matrix. :func:`woodbury_mean` is the one mean solve of every
 low-rank update and of inflation, and :func:`sym_pinv` the one
-pseudo-inverse of the gain-form filters. The deterministic sign and tie
-conventions make filter trajectories reproducible run to run.
+pseudo-inverse of the gain-form filters. Both eigendecompositions, of
+:func:`thin_svd`'s Gram matrix and of :func:`sym_pinv`'s input, are
+numpy's ``eigh``, so this module needs no scipy. The deterministic sign
+and tie conventions make filter trajectories reproducible run to run.
 
 P x K factors are kept column-contiguous (Fortran order): :func:`thin_svd`
 returns U that way, and the row scalings, stacks and products of the
 callers then stream whole columns. Inputs may have any layout.
 """
 
-from functools import cache
-
 import numpy as np
-from scipy.linalg.lapack import dsyevd, dsyevr, dsyevr_lwork
 
 from .exceptions import NumericalDegeneracyError
 
@@ -34,31 +33,17 @@ def fix_column_signs(u):
     return u
 
 
-@cache
-def _syevr_work(k):
-    """dsyevr workspace sizes (lwork, liwork) for order k, as
-    scipy.linalg.eigh computes them."""
-    lwork, liwork, _ = dsyevr_lwork(k, lower=1)
-    return int(lwork), int(liwork)
-
-
-def _gram_eigh(gram):
-    """Ascending eigenvalues and eigenvectors of a symmetric Gram matrix.
-
-    One direct LAPACK ``dsyevr`` call with the arguments and workspace
-    that ``scipy.linalg.eigh`` passes, so the result is bit-identical to
-    ``eigh(gram)`` without its per-call checks and workspace query. A
-    non-finite input or a failed call raises NumericalDegeneracyError.
-    """
-    if not np.isfinite(gram).all():
-        raise NumericalDegeneracyError("thin_svd: non-finite Gram matrix")
-    lwork, liwork = _syevr_work(gram.shape[0])
-    vals, vecs, _, _, info = dsyevr(
-        gram, compute_v=1, range="A", lower=1, lwork=lwork, liwork=liwork
-    )
-    if info:
-        raise NumericalDegeneracyError(f"thin_svd: dsyevr failed with info={info}")
-    return vals, vecs
+def _eigh(a, caller, name="matrix"):
+    """Ascending eigenvalues and eigenvectors of a symmetric matrix by
+    ``np.linalg.eigh`` (LAPACK ``dsyevd``; only the lower triangle is
+    read). A non-finite ``a`` or a failed call raises
+    NumericalDegeneracyError naming ``caller`` and the matrix ``name``."""
+    if not np.isfinite(a).all():
+        raise NumericalDegeneracyError(f"{caller}: non-finite {name}")
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDegeneracyError(f"{caller}: eigh of the {name} failed: {exc}") from exc
 
 
 def sym_pinv(a):
@@ -66,21 +51,13 @@ def sym_pinv(a):
     eigenvalues with ``|lam| > 1e-15 * max|lam|`` (numpy's ``pinv`` cutoff).
 
     It covers the singular moment-matched innovation covariance of a
-    categorical likelihood. Only the lower triangle of ``a`` is read, by
-    one direct LAPACK ``dsyevd`` call: the driver of ``np.linalg.eigh``,
-    whose eigenvalues it matches bit for bit. (``dsyevr``, the driver of
-    :func:`_gram_eigh`, resolves the null direction of a singular ``a``
-    only to about ``2e-15 * max|lam|``, above the cutoff, and would invert
-    that noise.) For a 1 x 1 ``a`` the result is exactly ``1 / a``, as
-    from ``np.linalg.pinv(a, hermitian=True)``, at about a quarter of its
-    cost.
-    A non-finite ``a`` or a failed call raises NumericalDegeneracyError.
+    categorical likelihood. The eigenpairs come from ``np.linalg.eigh``,
+    whose ``dsyevd`` resolves the null direction of a singular ``a`` to
+    below the cutoff. For a 1 x 1 ``a`` the result is exactly ``1 / a``,
+    as from ``np.linalg.pinv(a, hermitian=True)``. A non-finite ``a`` or
+    a failed call raises NumericalDegeneracyError.
     """
-    if not np.isfinite(a).all():
-        raise NumericalDegeneracyError("sym_pinv: non-finite matrix")
-    vals, vecs, info = dsyevd(a, compute_v=1, lower=1)
-    if info:
-        raise NumericalDegeneracyError(f"sym_pinv: dsyevd failed with info={info}")
+    vals, vecs = _eigh(a, "sym_pinv")
     mag = np.abs(vals)
     inv = np.zeros_like(vals)
     live = mag > 1e-15 * mag.max()
@@ -110,13 +87,12 @@ def thin_svd(w):
     -----
     When P > K the decomposition goes through the K x K Gram matrix
     ``w.T w`` so the cost is O(P K^2 + K^3) rather than O(P^2 K). Its
-    eigendecomposition is one direct LAPACK ``dsyevr`` call, bit-identical
-    to ``scipy.linalg.eigh`` at a fraction of the call overhead. With
-    ``w.T w = V diag(s^2) V^T``, U is formed by one matrix product
-    ``w @ F``, ``F = V[:, live] / s[live]``, written column-contiguous
-    whatever the layout of ``w``. The sign rule is folded into
-    the K x K factor F: a column of F is negated when the matching entry
-    of row 0 of U, ``w[0] @ F``, is negative. Only when some live column
+    eigendecomposition is one ``np.linalg.eigh`` call (LAPACK
+    ``dsyevd``). With ``w.T w = V diag(s^2) V^T``, U is formed by one
+    matrix product ``w @ F``, ``F = V[:, live] / s[live]``, written
+    column-contiguous whatever the layout of ``w``. The sign rule is
+    folded into the K x K factor F: a column of F is negated when the
+    matching entry of row 0 of U, ``w[0] @ F``, is negative. Only when some live column
     still has ``u[0, j] <= 0`` afterwards (a zero leading entry, or a
     rounding disagreement between the row and the full product) does U go
     through :func:`fix_column_signs`.
@@ -129,7 +105,7 @@ def thin_svd(w):
         return np.zeros(0), np.zeros((p, 0))
     if p > k:
         gram = w.T @ w
-        vals, vecs = _gram_eigh(gram)
+        vals, vecs = _eigh(gram, "thin_svd", "Gram matrix")
         vals = np.maximum(vals, 0.0)
         order = np.argsort(-vals, kind="stable")
         s = np.sqrt(vals[order])

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalDegeneracyError
 from .linalg import chol_or_raise
@@ -78,10 +77,7 @@ class GaussianFamily:
 
     def obs_whitener(self, dim):
         """L^-1, so that ``A.T @ A`` is R^-1."""
-        return self._fixed(
-            "whitener", dim,
-            lambda d: scipy.linalg.solve_triangular(self.obs_chol(d), np.eye(d), lower=True),
-        )
+        return self._fixed("whitener", dim, lambda d: np.linalg.inv(self.obs_chol(d)))
 
 
 @dataclass(frozen=True)
@@ -339,8 +335,9 @@ class FunctionModel:
 
 
 def pseudo_whitener(cov):
-    """A with A^T A = pinv(cov), dropping eigenvalues <= the floor."""
-    vals, vecs = scipy.linalg.eigh(cov)
+    """A with A^T A = pinv(cov), dropping eigenvalues <= the floor; the
+    eigenpairs come from ``np.linalg.eigh`` (LAPACK ``dsyevd``)."""
+    vals, vecs = np.linalg.eigh(cov)
     keep = vals > WHITENER_EIG_FLOOR
     a = np.zeros_like(cov)
     k = int(keep.sum())

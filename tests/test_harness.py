@@ -293,10 +293,21 @@ class TestRunExperiment:
         assert 1 in status["failed"]
         assert (tmp_path / "o" / "failures.txt").exists()
 
-    def test_lost_spherical_orthonormality_fails_only_that_seed(self, tmp_path):
-        # this categorical stream drives update_svd's basis past the 1e-8
-        # orthonormality bound (on most seeds); the seed is recorded as
-        # failed, no traceback
+    def test_lost_spherical_orthonormality_fails_only_that_seed(self, tmp_path, monkeypatch):
+        # a thin_svd that skews the second basis column toward the first
+        # pushes update_svd's basis past the 1e-8 orthonormality bound
+        # whatever the eigensolver; the seed is recorded as failed, no
+        # traceback
+        from lrkf import spherical
+
+        real = spherical.thin_svd
+
+        def skewed(w):
+            s, u = real(w)
+            u[:, 1] += 1e-6 * u[:, 0]
+            return s, u
+
+        monkeypatch.setattr(spherical, "thin_svd", skewed)
         text = """
 [experiment]
 seeds = 1

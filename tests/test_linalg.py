@@ -98,31 +98,42 @@ class TestThinSvd:
 
 
 class TestDirectSyevr:
-    """thin_svd's direct dsyevr call against scipy.linalg.eigh, bit for bit."""
+    """thin_svd's Gram eigensolve is np.linalg.eigh bit for bit; scipy's
+    eigh (LAPACK dsyevr, a different algorithm) is an independent oracle
+    for the eigenvalues. (The names date from a direct dsyevr call.)"""
 
     @staticmethod
     def tall(k, seed):
         rng = np.random.default_rng(seed)
         return rng.standard_normal((151, k)) * rng.uniform(0.01, 10.0, k)
 
+    @staticmethod
+    def assert_near_oracle(vals, gram):
+        """Within a few ulp of the largest eigenvalue of scipy's eigh."""
+        ref = scipy.linalg.eigh(gram, eigvals_only=True)
+        atol = 8 * np.finfo(float).eps * np.abs(ref).max()
+        np.testing.assert_allclose(vals, ref, rtol=0, atol=atol)
+
     @pytest.mark.parametrize("k", [1, 2, 11, 30])
     def test_gram_eigenpairs_match_scipy_eigh(self, k):
         for seed in range(5):
             w = self.tall(k, seed)
             gram = w.T @ w
-            vals, vecs = linalg._gram_eigh(gram)
-            ref_vals, ref_vecs = scipy.linalg.eigh(gram)
+            vals, vecs = linalg._eigh(gram, "thin_svd", "Gram matrix")
+            ref_vals, ref_vecs = np.linalg.eigh(gram)
             np.testing.assert_array_equal(vals, ref_vals)
             np.testing.assert_array_equal(vecs, ref_vecs)
+            self.assert_near_oracle(vals, gram)
 
-    @staticmethod
-    def assert_matches_eigh_route(monkeypatch, w):
+    @classmethod
+    def assert_matches_eigh_route(cls, monkeypatch, w):
         s, u = thin_svd(w)
         with monkeypatch.context() as m:
-            m.setattr(linalg, "_gram_eigh", scipy.linalg.eigh)
+            m.setattr(linalg, "_eigh", lambda a, *names: np.linalg.eigh(a))
             s_ref, u_ref = thin_svd(w)
         np.testing.assert_array_equal(s, s_ref)
         np.testing.assert_array_equal(u, u_ref)
+        cls.assert_near_oracle(s[::-1] ** 2, w.T @ w)
 
     @pytest.mark.parametrize("k", [1, 2, 11, 30])
     def test_thin_svd_matches_the_eigh_route(self, monkeypatch, k):

@@ -21,11 +21,14 @@ with L = P it reproduces the full-covariance EKF.
 Layout: every P x K factor the filter builds (the belief's ``low_rank``,
 the extended factor, the singular vectors) is column-contiguous (Fortran
 order). The step's memory passes, the row scalings ``ratio[:, None] * W``
-and ``U * s``, the stack and the P x K products, then stream whole
-columns. Over row-major factors each pass runs P short inner loops of
-L + C entries, over a quarter of the step at P = 12,010. A belief with a
-row-major factor is accepted and gives the same result up to rounding;
-the beliefs returned are column-contiguous.
+and ``U * s`` and the P x K products, then stream whole columns. Over
+row-major factors each pass runs P short inner loops of L + C entries,
+over a quarter of the step at P = 12,010. The extended factor is built
+in place: :func:`predict` writes the predicted factor into the first L
+columns of a P x (L + C) array, and :func:`update` writes the whitened
+Jacobian into the other C, so the step never copies W next to the
+Jacobian. A belief with a row-major factor is accepted and gives the
+same result up to rounding; the beliefs returned are column-contiguous.
 """
 
 from dataclasses import dataclass, field
@@ -89,13 +92,18 @@ def initial_belief(model, cfg, rng_seed):
     return DlrBelief(mean, diag, np.zeros((p, cfg.rank), order="F"))
 
 
-def predict(belief, cfg):
+def predict(belief, cfg, out_dim=0):
     """One-step-ahead belief under the drift model.
 
     The covariance recursion ``Sigma' = gamma^2 Sigma + q I`` is carried
     out on the precision factors directly: the diagonal updates
     elementwise and the factor is rescaled through the Cholesky factor of
     an L x L core, so no P x P matrix is ever formed.
+
+    The predicted factor is written into the first L columns of one
+    column-contiguous P x (L + ``out_dim``) array; :func:`update` fills
+    the ``out_dim`` spare columns with the whitened Jacobian, so passing
+    the model's output count C saves the update a P x (L + C) copy.
     """
     dyn = cfg.dynamics
     g, q = dyn.gamma, dyn.process_noise
@@ -113,8 +121,37 @@ def predict(belief, cfg):
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(f"predict core inversion failed: {exc}") from exc
     chol = chol_or_raise(symmetrize(core_inv), "predict core")
-    w_pred = np.matmul(scaled, g * chol, out=np.empty(w.shape, order="F"))
+    p, rank = w.shape
+    ext = np.empty((p, rank + out_dim), order="F")
+    w_pred = np.matmul(scaled, g * chol, out=ext[:, :rank])
     return DlrBelief(mean, ups_pred, w_pred)
+
+
+def _extended_factor(w, lin):
+    """``[W, whitened Jacobian]``, P x (L + C) and column-contiguous.
+
+    When W is the first L columns of a column-contiguous array with at
+    least C more columns, as :func:`predict` builds it, ``whitener @
+    jacobian`` is written straight into the next C columns and that prefix
+    is returned: no copy of W is made. Otherwise (a hand-built belief,
+    ``gamma = 0`` or rank 0) the two blocks are stacked into a new array.
+    """
+    p, rank = w.shape
+    c = lin.jacobian.shape[0]
+    ext = w.base
+    if (
+        ext is None
+        or ext.strides != w.strides
+        or ext.shape[0] != p
+        or ext.shape[1] < rank + c
+        or not ext.flags.f_contiguous
+        or not ext.flags.writeable
+        or ext.ctypes.data != w.ctypes.data
+    ):
+        return np.hstack([w, lin.whitened_jacobian_t])
+    ext = ext[:, : rank + c]
+    np.matmul(lin.whitener, lin.jacobian, out=ext[:, rank:].T)
+    return ext
 
 
 def update(belief_pred, lin, y, cfg):
@@ -124,14 +161,18 @@ def update(belief_pred, lin, y, cfg):
     posterior precision is ``diag(ups) + Wt Wt^T`` where Wt appends the
     whitened Jacobian columns; the returned belief truncates Wt to rank
     ``cfg.rank`` and adds the discarded rows' squares to the diagonal,
-    keeping ``diag`` of the precision exact. Wt stacks two
-    column-contiguous blocks, so it is column-contiguous too. The singular
-    vectors are scaled in place, and the returned factor is a view of
-    their first ``cfg.rank`` columns: no further P x K array is allocated.
+    keeping ``diag`` of the precision exact. Wt is the column-contiguous
+    array :func:`predict` wrote the predicted factor into, with the
+    Jacobian columns written into its spare columns
+    (:func:`_extended_factor`). Those columns are scratch that no belief
+    views: the predicted belief is left as it was, but two updates of one
+    predicted belief must not run at the same time. The singular vectors
+    are scaled in place, and the returned factor is a view of their first
+    ``cfg.rank`` columns: no further P x K array is allocated.
     """
     innov = lin.innovation(y)
     ups = belief_pred.diag_precision
-    w_ext = np.hstack([belief_pred.low_rank, lin.whitened_jacobian_t])
+    w_ext = _extended_factor(belief_pred.low_rank, lin)
     mean = woodbury_mean(belief_pred.mean, ups, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
 
     s, u = thin_svd(w_ext)
@@ -148,7 +189,7 @@ def step(belief, x, y, model, cfg):
     Returns the posterior belief and the prediction ``y_hat`` that was
     made before ``y`` was seen.
     """
-    pred = predict(belief, cfg)
+    pred = predict(belief, cfg, model.out_dim)
     lin = linearize(model, x, pred.mean)
     post = update(pred, lin, y, cfg)
     return post, lin.y_hat

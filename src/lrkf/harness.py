@@ -12,7 +12,6 @@ byte-identical files.
 import configparser
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -209,6 +208,10 @@ def run_experiment(cfg):
     os.makedirs(cfg.output, exist_ok=True)
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     if workers > 1:
+        # imported here: the pool module and multiprocessing cost about
+        # 16 ms of import, and a single-process run never needs them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_seed, [cfg] * len(cfg.seeds), cfg.seeds))
     else:

@@ -9,8 +9,8 @@ numpy's ``eigh``, so this module needs no scipy. The deterministic sign
 and tie conventions make filter trajectories reproducible run to run.
 
 P x K factors are kept column-contiguous (Fortran order): :func:`thin_svd`
-returns U that way, and the row scalings, stacks and products of the
-callers then stream whole columns. Inputs may have any layout.
+returns U that way, and the row scalings and products of the callers
+then stream whole columns. Inputs may have any layout.
 """
 
 import numpy as np
@@ -138,18 +138,27 @@ def thin_svd(w):
 def woodbury_mean(mean, diag, w, rhs):
     """``mean + (diag(d) + W W^T)^-1 rhs`` in O(P L^2), no P x P matrix.
 
-    ``diag`` is a P-vector or the spherical scalar ``eta``; W is P x L, L >= 0.
-    With ``M = d^-1 W`` this is ``mean + d^-1 rhs - M (I + W^T M)^-1 M^T rhs``.
-    A failed L x L core solve raises NumericalDegeneracyError.
+    ``diag`` is a P-vector or the spherical scalar ``eta``, and every
+    entry must be > 0; W is P x L, L >= 0. The solve runs in whitened
+    form: with ``R = d^-1/2 W`` and ``b = d^-1 rhs`` the result is
+    ``mean + b - d^-1 W (I + R^T R)^-1 W^T b``. The core is the Gram of R
+    (one ``syrk``), and the other two products by W act on vectors.
+    ``d^-1/2`` of a negative or NaN ``d`` would be NaN rather than a
+    singular core, so such a ``d``, like a failed core solve, raises
+    NumericalDegeneracyError. A non-finite W or ``rhs`` is left to the
+    caller's checks.
     """
     d_inv = 1.0 / np.asarray(diag, dtype=float)
-    m = d_inv[..., None] * w
-    core = np.eye(w.shape[1]) + w.T @ m
+    if not (d_inv > 0.0).all():  # False on NaN as well
+        raise NumericalDegeneracyError("Woodbury core solve failed: d^-1 has an entry <= 0 or NaN")
+    r = np.sqrt(d_inv)[..., None] * w
+    core = np.eye(w.shape[1]) + r.T @ r
+    b = d_inv * rhs
     try:
-        coef = np.linalg.solve(core, m.T @ rhs)
+        coef = np.linalg.solve(core, w.T @ b)
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(f"Woodbury core solve failed: {exc}") from exc
-    return mean + d_inv * rhs - m @ coef
+    return mean + b - d_inv * (w @ coef)
 
 
 def chol_or_raise(a, what="matrix"):

@@ -360,6 +360,49 @@ class TestFactorLayout:
             learner.observe(ev.x, ev.y)
             assert learner.belief.low_rank.flags.f_contiguous
 
+    @pytest.mark.parametrize("kind", ["categorical", "bandit"])
+    def test_extended_factor_is_built_in_place(self, kind, monkeypatch):
+        # the update's truncation SVD reads the array predict wrote the
+        # predicted factor into, C = 4 columns wider (one used by a masked
+        # bandit update): the predicted factor is never copied
+        from lrkf import diagonal
+        from lrkf.bandit import FilterBanditAgent
+        from lrkf.learners import build_learner
+
+        seen = []
+        real = diagonal.thin_svd
+        monkeypatch.setattr(diagonal, "thin_svd", lambda w: seen.append(w) or real(w))
+        family = CategoricalFamily() if kind == "categorical" else GaussianFamily(0.25)
+        model = MlpModel(MlpSpec((3, 5, 4)), family)
+        learner = build_learner("lrekf", model, {"rank": 3, "process_noise": 1e-4}, seed=0)
+        x, pred = np.array([0.3, -0.2, 0.5]), learner.predicted_belief()
+        if kind == "categorical":
+            learner.observe(x, np.eye(4)[1])
+        else:
+            FilterBanditAgent(learner).learn(x, 2, 1.0)
+        (w_ext,) = seen
+        assert w_ext.shape == (model.parameter_count, 3 + (4 if kind == "categorical" else 1))
+        assert w_ext.flags.f_contiguous
+        assert np.shares_memory(w_ext, pred.low_rank)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_stacked_fallback_matches_in_place(self, masked):
+        from lrkf.bandit import masked_reward_linearization
+
+        model, cfg, lin, y = self.categorical_step_inputs(rank=4)
+        if masked:
+            lin = masked_reward_linearization(model, np.array([0.1, 0.7, -0.4]),
+                                              initialize_mean(model.spec, 2), 2, 0.25)
+            y = np.array([1.0])
+        b = random_dlr(model.parameter_count, 4, seed=7)
+        pred = predict(b, cfg, out_dim=4)
+        stacked = DlrBelief(pred.mean, pred.diag_precision, pred.low_rank.copy(order="F"))
+        assert pred.low_rank.base.shape[1] == 8 and stacked.low_rank.base is None
+        in_place, fallback = update(pred, lin, y, cfg), update(stacked, lin, y, cfg)
+        for a, b in zip((in_place.mean, in_place.diag_precision, in_place.low_rank),
+                        (fallback.mean, fallback.diag_precision, fallback.low_rank)):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("rank", [2, 4, 6])
     def test_c_ordered_input_matches_its_f_ordered_copy(self, rank):
         model, cfg, lin, y = self.categorical_step_inputs(rank)

@@ -385,8 +385,8 @@ test_fraction = 0
         real = diagonal.predict
         calls = []
 
-        def poisoned(belief, cfg):
-            pred = real(belief, cfg)
+        def poisoned(belief, cfg, out_dim=0):
+            pred = real(belief, cfg, out_dim)
             calls.append(1)
             if len(calls) != 5:
                 return pred

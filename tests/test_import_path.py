@@ -1,4 +1,5 @@
-"""scipy stays off lrkf's import path and off every runtime path but fcekf's.
+"""scipy stays off lrkf's import path and off every runtime path but fcekf's,
+and the process pool stays off the import path.
 
 Each check runs in a fresh interpreter, so a module that an earlier test
 imported cannot hide or fake a load. Running a few events of each method
@@ -50,18 +51,23 @@ print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
-def scipy_modules_after(tmp_path, *tags):
-    """The scipy modules loaded by a fresh interpreter that imports lrkf,
-    lrkf.cli and lrkf.harness and runs the named cases of SCRIPT."""
+def fresh_python(script, *args):
+    """Standard output of ``script`` run by a fresh interpreter on src/."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path), *tags],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()
+    return done.stdout
+
+
+def scipy_modules_after(tmp_path, *tags):
+    """The scipy modules loaded by a fresh interpreter that imports lrkf,
+    lrkf.cli and lrkf.harness and runs the named cases of SCRIPT."""
+    return fresh_python(SCRIPT, str(tmp_path), *tags).split()
 
 
 def test_imports_and_runtime_paths_load_no_scipy(tmp_path):
@@ -73,3 +79,10 @@ def test_fcekf_is_the_one_method_that_loads_scipy(tmp_path):
     # its Cholesky solve imports scipy.linalg on first use
     assert scipy_modules_after(tmp_path) == []
     assert "scipy.linalg" in scipy_modules_after(tmp_path, "fcekf")
+
+
+def test_imports_load_no_process_pool():
+    # harness imports the pool only when LRKF_WORKERS asks for workers
+    pool = ("concurrent.futures.process", "multiprocessing")
+    script = f"import sys, lrkf, lrkf.cli, lrkf.harness; print([m for m in {pool} if m in sys.modules])"
+    assert fresh_python(script).strip() == "[]"

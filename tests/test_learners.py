@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from lrkf import belief, diagonal, linalg, spherical
-from lrkf.bandit import FilterBanditAgent, env_from_stream, run_bandit
+from lrkf.bandit import (
+    FilterBanditAgent,
+    env_from_stream,
+    masked_reward_linearization,
+    run_bandit,
+)
 from lrkf.exceptions import NumericalDegeneracyError
 from lrkf.learners import build_learner
-from lrkf.models import CategoricalFamily, GaussianFamily, MlpModel, MlpSpec
+from lrkf.models import CategoricalFamily, GaussianFamily, MlpModel, MlpSpec, linearize
 from lrkf.streams import (
     PiecewiseSineSpec,
     gen_piecewise_sine,
@@ -21,9 +26,9 @@ def count_diagonal_predict(monkeypatch):
     calls = []
     real = diagonal.predict
 
-    def counting(belief, cfg):
+    def counting(belief, cfg, out_dim=0):
         calls.append(1)
-        return real(belief, cfg)
+        return real(belief, cfg, out_dim)
 
     monkeypatch.setattr(diagonal, "predict", counting)
     return calls
@@ -90,6 +95,36 @@ def test_observe_drops_the_cached_prediction(tag):
         assert vars(cached).keys() == vars(fresh).keys()
         for key, value in vars(cached).items():
             np.testing.assert_array_equal(value, vars(fresh)[key])
+
+
+@pytest.mark.parametrize("kind", ["categorical", "bandit"])
+def test_held_predicted_belief_keeps_its_bits(kind):
+    # the update writes the whitened Jacobian into the spare columns of the
+    # array that holds the predicted factor; a held predicted belief (nlpd's
+    # PredictOutput.belief, the Thompson draw's predicted_belief()) keeps its
+    # bits through that update and the next one
+    events = gen_synthetic_classification(2, in_dim=3, num_classes=4, seed=0)
+    family = CategoricalFamily() if kind == "categorical" else GaussianFamily(0.25)
+    model = MlpModel(MlpSpec((3, 5, 4)), family)
+    learner = build_learner("lrekf", model, PARAMS, seed=0)
+    agent = FilterBanditAgent(learner)
+    held = learner.predict(events[0].x).belief
+    spare = held.low_rank.base[:, 3:]
+    assert spare.shape == (model.parameter_count, 4)
+    bits = [a.copy() for a in (held.mean, held.diag_precision, held.low_rank)]
+    for t, ev in enumerate(events):
+        if kind == "categorical":
+            learner.observe(ev.x, ev.y)
+            lin = linearize(model, ev.x, held.mean)
+        else:
+            agent.learn(ev.x, 2, 1.0)
+            lin = masked_reward_linearization(model, ev.x, held.mean, 2, agent.reward_variance)
+        if t == 0:  # the update wrote the spare columns, and kept none of them
+            c = lin.jacobian.shape[0]
+            np.testing.assert_array_equal(spare[:, :c], lin.whitened_jacobian_t)
+            assert not np.shares_memory(learner.belief.low_rank, held.low_rank.base)
+        for now, before in zip((held.mean, held.diag_precision, held.low_rank), bits):
+            np.testing.assert_array_equal(now, before)
 
 
 @pytest.mark.parametrize("tag", ["lrekf", "lrekf_spherical", "vdekf"])

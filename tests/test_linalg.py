@@ -275,3 +275,12 @@ class TestWoodburyMean:
         w[0, 0] = 1.0
         with pytest.raises(NumericalDegeneracyError, match="Woodbury core"):
             woodbury_mean(np.zeros(3), -np.ones(3), w, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [-2.0, np.nan])
+    @pytest.mark.parametrize("spherical", [False, True])
+    def test_negative_or_nan_diagonal_raises(self, bad, spherical):
+        # d^-1/2 of such a d is NaN, not a singular core
+        w = np.ones((3, 2))
+        diag = bad if spherical else np.array([1.0, bad, 1.0])
+        with pytest.raises(NumericalDegeneracyError, match="Woodbury core"):
+            woodbury_mean(np.zeros(3), diag, w, np.ones(3))

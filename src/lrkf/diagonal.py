@@ -111,8 +111,10 @@ def predict(belief, cfg, out_dim=0):
     ups = belief.diag_precision
     ups_pred = 1.0 / (g * g / ups + q)
     w = belief.low_rank
-    if w.shape[1] == 0 or g == 0.0:
-        return DlrBelief(mean, ups_pred, np.zeros(w.shape, order="F"))
+    p, rank = w.shape
+    if rank == 0 or g == 0.0:
+        ext = np.zeros((p, rank + out_dim), order="F")
+        return DlrBelief(mean, ups_pred, ext[:, :rank])
     ratio = ups_pred / ups
     scaled = ratio[:, None] * w
     core = np.eye(w.shape[1]) + q * (w.T @ scaled)
@@ -121,7 +123,6 @@ def predict(belief, cfg, out_dim=0):
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(f"predict core inversion failed: {exc}") from exc
     chol = chol_or_raise(symmetrize(core_inv), "predict core")
-    p, rank = w.shape
     ext = np.empty((p, rank + out_dim), order="F")
     w_pred = np.matmul(scaled, g * chol, out=ext[:, :rank])
     return DlrBelief(mean, ups_pred, w_pred)
@@ -133,8 +134,9 @@ def _extended_factor(w, lin):
     When W is the first L columns of a column-contiguous array with at
     least C more columns, as :func:`predict` builds it, ``whitener @
     jacobian`` is written straight into the next C columns and that prefix
-    is returned: no copy of W is made. Otherwise (a hand-built belief,
-    ``gamma = 0`` or rank 0) the two blocks are stacked into a new array.
+    is returned: no copy of W is made. Otherwise (a belief that
+    :func:`predict` did not build, or one built with fewer spare columns)
+    the two blocks are stacked into a new array.
     """
     p, rank = w.shape
     c = lin.jacobian.shape[0]
@@ -166,16 +168,21 @@ def update(belief_pred, lin, y, cfg):
     Jacobian columns written into its spare columns
     (:func:`_extended_factor`). Those columns are scratch that no belief
     views: the predicted belief is left as it was, but two updates of one
-    predicted belief must not run at the same time. The singular vectors
-    are scaled in place, and the returned factor is a view of their first
-    ``cfg.rank`` columns: no further P x K array is allocated.
+    predicted belief must not run at the same time. Which factor has
+    spare columns is read from memory, not from who made it: whenever
+    ``belief_pred.low_rank`` is the first L columns of a writable
+    column-contiguous array with at least C more, columns L to L + C of
+    that array are overwritten. That also holds for a caller's
+    ``big[:, :L]`` and for a posterior's factor (its dropped singular
+    vectors). The singular vectors are scaled in place, and the returned
+    factor is a view of their first ``cfg.rank`` columns: no further
+    P x K array is allocated.
     """
     innov = lin.innovation(y)
     ups = belief_pred.diag_precision
     w_ext = _extended_factor(belief_pred.low_rank, lin)
-    mean = woodbury_mean(belief_pred.mean, ups, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
-
     s, u = thin_svd(w_ext)
+    mean = woodbury_mean(belief_pred.mean, ups, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
     u *= s  # in place: the kept factor and the dropped columns are views
     rank = cfg.rank
     dropped = u[:, rank:]
@@ -189,7 +196,7 @@ def step(belief, x, y, model, cfg):
     Returns the posterior belief and the prediction ``y_hat`` that was
     made before ``y`` was seen.
     """
-    pred = predict(belief, cfg, model.out_dim)
+    pred = predict(belief, cfg, getattr(model, "out_dim", 0))
     lin = linearize(model, x, pred.mean)
     post = update(pred, lin, y, cfg)
     return post, lin.y_hat

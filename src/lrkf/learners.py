@@ -106,7 +106,7 @@ class LowRankFilterLearner(_BayesianLearner):
         return belief if icfg is None else inflate_dlr(belief, icfg, self.latent.eta)
 
     def _predict_belief(self, belief):
-        return diagonal.predict(belief, self.cfg, self.model.out_dim)
+        return diagonal.predict(belief, self.cfg, getattr(self.model, "out_dim", 0))
 
     def _update(self, pred, lin, y):
         return diagonal.update(pred, lin, y, self.cfg)

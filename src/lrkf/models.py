@@ -317,7 +317,6 @@ class FunctionModel:
     jacobian_fn: object
     family: object = field(default_factory=GaussianFamily)
     parameter_count: int = 0
-    out_dim: int = 0  # C when known; 0 leaves the DLR step no spare columns
 
     def logits(self, x, theta):
         if np.ndim(theta) == 2:

@@ -358,10 +358,10 @@ PINNED_IEKF_MEAN = np.array([
     1.030478427092981,
 ])
 PINNED_ILREKF_MEAN = np.array([
-    0.8827448127076053, -1.3809687343728432, 0.017693183730050924, -0.07663572103645638,
-    -0.6249354156647648, 0.23227266388777462, -0.28263097287945993, 0.15712362793634826,
-    -0.3318872307773219, -0.04475118280625318, 0.23481859921113407, -1.316730747267539,
-    0.8609782083105472,
+    0.88274481270762162, -1.3809687343728525, 0.017693183730069409, -0.076635721036479823,
+    -0.62493541566475064, 0.23227266388777182, -0.28263097287945049, 0.1571236279363511,
+    -0.33188723077732052, -0.044751182806327082, 0.23481859921113651, -1.3167307472675276,
+    0.8609782083105415,
 ])
 
 

@@ -403,6 +403,23 @@ class TestFactorLayout:
                         (fallback.mean, fallback.diag_precision, fallback.low_rank)):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("gamma, rank", [(0.99, 4), (0.0, 4), (0.99, 0)])
+    def test_every_predicted_factor_has_spare_columns(self, gamma, rank, monkeypatch):
+        # gamma = 0 and rank 0 build their zero factor with the spare
+        # columns too, so every factor predict returns takes the in-place path
+        from lrkf import diagonal
+
+        model, _, lin, y = self.categorical_step_inputs(rank)
+        cfg = LowRankConfig(rank=rank, dynamics=DynamicsConfig(gamma, 1e-3, 1.0))
+        pred = predict(random_dlr(model.parameter_count, rank, seed=5), cfg, out_dim=4)
+        assert pred.low_rank.shape == (model.parameter_count, rank)
+        assert pred.low_rank.base.shape == (model.parameter_count, rank + 4)
+        seen = []
+        real = diagonal.thin_svd
+        monkeypatch.setattr(diagonal, "thin_svd", lambda w: seen.append(w) or real(w))
+        update(pred, lin, y, cfg)
+        assert seen[0].base is pred.low_rank.base
+
     @pytest.mark.parametrize("rank", [2, 4, 6])
     def test_c_ordered_input_matches_its_f_ordered_copy(self, rank):
         model, cfg, lin, y = self.categorical_step_inputs(rank)

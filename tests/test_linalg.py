@@ -284,3 +284,27 @@ class TestWoodburyMean:
         diag = bad if spherical else np.array([1.0, bad, 1.0])
         with pytest.raises(NumericalDegeneracyError, match="Woodbury core"):
             woodbury_mean(np.zeros(3), diag, w, np.ones(3))
+
+    @pytest.mark.parametrize("rank", [0, 1, 5])
+    @pytest.mark.parametrize("spherical", [False, True])
+    def test_whitened_form_matches_dense_solve(self, rank, spherical, monkeypatch):
+        monkeypatch.setattr(linalg, "WHITENED_MIN_SIZE", 0)
+        self.test_matches_dense_solve(rank, spherical)
+        self.test_ill_conditioned_factor(spherical)
+        self.test_failed_core_solve_raises()
+
+    @pytest.mark.parametrize("spherical", [False, True])
+    def test_forms_agree_across_the_switch(self, spherical, monkeypatch):
+        # wide's update is on the whitened side of the switch and sine's on
+        # the other; on one input the two forms agree to rounding
+        assert 151 * 11 < linalg.WHITENED_MIN_SIZE <= 12010 * 30
+        rng = np.random.default_rng(7)
+        p, rank = 6000, 30
+        w = np.asfortranarray(rng.standard_normal((p, rank)) * rng.uniform(0.1, 3.0, rank))
+        diag = 2.5 if spherical else rng.uniform(0.5, 40.0, p)
+        mean, rhs = rng.standard_normal(p), rng.standard_normal(p)
+        whitened = woodbury_mean(mean, diag, w, rhs)
+        monkeypatch.setattr(linalg, "WHITENED_MIN_SIZE", p * rank + 1)
+        other = woodbury_mean(mean, diag, w, rhs)
+        assert not np.array_equal(whitened, other)  # the two forms did run
+        np.testing.assert_allclose(whitened, other, rtol=1e-12, atol=1e-12 * np.abs(other).max())

@@ -30,13 +30,10 @@ for name, policy, bayes in (
         events = gen_synthetic_classification(STEPS, IN_DIM, ACTIONS, seed, teacher_widths=())
         env = env_from_stream(events, ACTIONS)
         if bayes:
-            agent = FilterBanditAgent(
-                LowRankFilterLearner(model, cfg, seed=seed), reward_variance=REWARD_VAR
-            )
+            agent = FilterBanditAgent(LowRankFilterLearner(model, cfg, seed=seed))
         else:
             agent = SgdBanditAgent(
-                SgdReplayLearner(model, seed=seed, buffer_size=10, optimizer="adam", lr=0.01),
-                reward_variance=REWARD_VAR,
+                SgdReplayLearner(model, seed=seed, buffer_size=10, optimizer="adam", lr=0.01)
             )
         per_seed.append(np.cumsum(run_bandit(env, agent, policy, STEPS, seed, epsilon=0.1)))
     traces[name] = np.mean(per_seed, axis=0)

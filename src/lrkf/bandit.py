@@ -4,7 +4,9 @@ The environment presents a context; the agent picks one of A actions and
 receives reward 1 when the action equals the hidden label, else 0. The
 reward is modeled as nonlinear Gaussian regression with one output head
 per action; after acting, the learner sees only the chosen head's reward,
-so the update masks the Jacobian down to that single row.
+so the update masks the Jacobian down to that single row. The reward
+noise is the variance ``R[a, a]`` of the chosen head under the model's
+Gaussian family (``[model] obs_variance`` in ``lrkf bandit``).
 
 Policies: Thompson sampling (act greedily under one posterior draw) and
 epsilon-greedy (uniform exploration with probability epsilon, otherwise
@@ -18,7 +20,6 @@ import numpy as np
 from .baselines import sgd_replay_step
 from .belief import sample_parameters
 from .models import Linearization
-from .schema import defaults
 
 
 @dataclass(frozen=True)
@@ -65,20 +66,20 @@ def epsilon_greedy_act(point_estimate, model, x, epsilon, seed):
     return int(np.argmax(values))
 
 
-def masked_reward_linearization(model, x, mean, action, reward_variance):
-    """Linearization of the chosen head as a scalar Gaussian observation."""
+def masked_reward_linearization(model, x, mean, action):
+    """Linearization of the chosen head as a scalar Gaussian observation
+    with the family's noise variance ``R[a, a]`` for that head."""
     values, jac = model.jacobian(x, mean)
-    cov = np.array([[reward_variance]])
-    whitener = np.array([[1.0 / np.sqrt(reward_variance)]])
-    return Linearization(values[action : action + 1], jac[action : action + 1, :], cov, whitener)
+    var = model.family.obs_cov(values.shape[0])[action, action]
+    return Linearization(values[action : action + 1], jac[action : action + 1, :],
+                         np.array([[var]]), np.array([[1.0 / np.sqrt(var)]]))
 
 
 class _Agent:
-    """A learner over the reward network and the reward noise it assumes."""
+    """A learner over the reward network."""
 
-    def __init__(self, learner, reward_variance=defaults("bandit")["reward_variance"]):
+    def __init__(self, learner):
         self.learner = learner
-        self.reward_variance = reward_variance
 
     @property
     def model(self):
@@ -96,9 +97,7 @@ class FilterBanditAgent(_Agent):
 
     def learn(self, x, action, reward):
         pred = self.learner.predicted_belief()
-        lin = masked_reward_linearization(
-            self.model, x, pred.mean, action, self.reward_variance
-        )
+        lin = masked_reward_linearization(self.model, x, pred.mean, action)
         self.learner.apply_update(pred, lin, np.array([reward]))
 
 
@@ -121,7 +120,7 @@ class SgdBanditAgent(_Agent):
         """Reward NLL gradient of the chosen head; the target is (a, r)."""
         a, r = int(action_reward[0]), action_reward[1]
         values, jac = self.model.jacobian(x, params)
-        return jac[a] * (values[a] - r) / self.reward_variance
+        return jac[a] * (values[a] - r) / self.model.family.obs_cov(values.shape[0])[a, a]
 
 
 def run_bandit(env, agent, policy, steps, seed, epsilon=0.1):

@@ -3,10 +3,12 @@
 * :func:`fcekf_step` is the full-covariance extended Kalman filter, exact
   up to linearization, O(P^3) per step. It doubles as the dense oracle in
   tests.
-* :func:`fdekf_step` and :func:`vdekf_step` keep only a diagonal: VDEKF
-  matches the diagonal of the posterior precision, FDEKF moment-matches
-  the diagonal of the posterior covariance via the rank-C correction.
-  :class:`DiagonalBelief` is the rank-0 :class:`~lrkf.belief.DlrBelief`.
+* :func:`fdekf_step` and :func:`vdekf_step` keep only a diagonal: each
+  conditions the belief of :func:`diagonal_predict` on one linearization.
+  VDEKF matches the diagonal of the posterior precision, FDEKF
+  moment-matches the diagonal of the posterior covariance via the rank-C
+  correction. :class:`DiagonalBelief` is the rank-0
+  :class:`~lrkf.belief.DlrBelief`.
 * :func:`sgd_replay_step` is stochastic gradient descent over a FIFO
   replay buffer (online gradient descent when the buffer holds one item),
   with plain SGD or Adam, on a given per-example gradient.
@@ -113,27 +115,22 @@ def _diagonal_mean_update(belief_pred, lin, y):
     return belief_pred.mean + cross @ (s_pinv @ innov), cross, s_pinv
 
 
-def vdekf_step(belief, model, x, y, dyn):
-    """Variational diagonal EKF: keep the diagonal of the posterior precision."""
-    pred = diagonal_predict(belief, dyn)
-    lin = linearize(model, x, pred.mean)
-    mean, _, _ = _diagonal_mean_update(pred, lin, y)
+def vdekf_step(belief_pred, lin, y):
+    """Variational diagonal EKF update: keep the diagonal of the posterior precision."""
+    mean, _, _ = _diagonal_mean_update(belief_pred, lin, y)
     wh = lin.whitened_jacobian_t
-    diag = pred.diag_precision + np.einsum("ij,ij->i", wh, wh)
-    return DiagonalBelief(mean, diag), lin.y_hat
+    return DiagonalBelief(mean, belief_pred.diag_precision + np.einsum("ij,ij->i", wh, wh))
 
 
-def fdekf_step(belief, model, x, y, dyn):
-    """Fully decoupled EKF: moment-match the posterior covariance diagonal."""
-    pred = diagonal_predict(belief, dyn)
-    lin = linearize(model, x, pred.mean)
-    mean, cross, s_pinv = _diagonal_mean_update(pred, lin, y)
+def fdekf_step(belief_pred, lin, y):
+    """Fully decoupled EKF update: moment-match the posterior covariance diagonal."""
+    mean, cross, s_pinv = _diagonal_mean_update(belief_pred, lin, y)
     # diag(Sigma*) = Ups^-1 - diag(cross S^+ cross^T), then invert
     correction = np.einsum("ij,ij->i", cross @ s_pinv, cross)
-    cov_diag = 1.0 / pred.diag_precision - correction
+    cov_diag = 1.0 / belief_pred.diag_precision - correction
     if np.any(cov_diag <= 0):
         raise NumericalDegeneracyError("moment-matched variance went non-positive")
-    return DiagonalBelief(mean, 1.0 / cov_diag), lin.y_hat
+    return DiagonalBelief(mean, 1.0 / cov_diag)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,9 @@ def bandit_problems(cfg):
     elif method and policy == "thompson" and not method.sampler:
         problems.append(f"bandit.policy: thompson needs a posterior to sample; "
                         f"{cfg.method} has none, use epsilon_greedy")
+    if cfg.model.get("family", "gaussian") != "gaussian":
+        problems.append(f"model.family: lrkf bandit models rewards as gaussian, "
+                        f"not {cfg.model['family']!r}")
     if cfg.stream.get("kind", schema.CLASSES) != schema.CLASSES:
         problems.append(f"stream.kind: lrkf bandit draws a {schema.CLASSES} stream, "
                         f"not {cfg.stream['kind']!r}")
@@ -349,7 +352,7 @@ def run_bandit_experiment(cfg):
         model = build_model(cfg, in_dim, actions)
         learner = build_learner(cfg.method, model, cfg.method_params, seed)
         agent_type = SgdBanditAgent if isinstance(learner, SgdReplayLearner) else FilterBanditAgent
-        agent = agent_type(learner, b["reward_variance"])
+        agent = agent_type(learner)
         try:
             rewards = run_bandit(env_from_stream(events, actions), agent, b["policy"], steps,
                                  seed, epsilon=b["epsilon"])

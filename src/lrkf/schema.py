@@ -80,8 +80,6 @@ KEYS = (
     Key("bandit", "steps", "int", 2000, COUNT),
     Key("bandit", "policy", "str", "thompson", ("thompson", "epsilon_greedy")),
     Key("bandit", "epsilon", "float", 0.1, "[0, 1]"),
-    # the largest variance of a 0/1 reward, the agents' default too
-    Key("bandit", "reward_variance", "float", 0.25, POSITIVE),
 )
 # ``space_<param> = lo hi`` takes the param's own range and readers
 KEYS += tuple(Key("tune", f"space_{name}", "pair", (rng.low, rng.high), key.allowed, key.readers)

@@ -293,7 +293,7 @@ def prequential_eval(learner, stream, metrics, window=1, nlpd_samples=100, seed=
             if out.belief is None:
                 raise ValueError("nlpd needs a learner with a posterior belief")
             nlpd.append(
-                float(mc_predict(out.belief, learner.model, out.x, y, nlpd_samples, [seed, ev.t]))
+                float(mc_predict(out.belief, learner.model, ev.x, y, nlpd_samples, [seed, ev.t]))
             )
         learner.observe(ev.x, y)
         if test_sets is not None and (step + 1) % test_every == 0:

@@ -93,7 +93,8 @@ def test_02_zero_rank_reduces_to_vdekf():
         x = rng.uniform(-1, 1, 2)
         y = rng.standard_normal(1)
         b_lr, _ = diagonal.step(b_lr, x, y, model, cfg)
-        b_vd, _ = baselines.vdekf_step(b_vd, model, x, y, dyn)
+        pred = baselines.diagonal_predict(b_vd, dyn)
+        b_vd = baselines.vdekf_step(pred, linearize(model, x, pred.mean), y)
         worst = max(
             worst,
             np.max(np.abs(b_lr.mean - b_vd.mean)),
@@ -342,13 +343,10 @@ def test_10_bandit_ordering():
         runs = []
         for seed in range(5):
             if bayes:
-                agent = FilterBanditAgent(
-                    LowRankFilterLearner(model, cfg, seed=seed), reward_variance=reward_var
-                )
+                agent = FilterBanditAgent(LowRankFilterLearner(model, cfg, seed=seed))
             else:
                 agent = SgdBanditAgent(
-                    SgdReplayLearner(model, seed=seed, buffer_size=10, optimizer="adam", lr=0.01),
-                    reward_variance=reward_var,
+                    SgdReplayLearner(model, seed=seed, buffer_size=10, optimizer="adam", lr=0.01)
                 )
             runs.append(run_bandit(env(seed), agent, policy, steps, seed, epsilon=0.1).sum())
         totals[name] = float(np.mean(runs))

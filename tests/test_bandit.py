@@ -155,13 +155,13 @@ class TestRunBandit:
         # the agent's own buffer-and-step loop, as written before it shared
         # baselines.sgd_replay_step
         env = self._env(steps=30, actions=4, seed=2)
-        model = MlpModel(MlpSpec((3, 8, 4), activation="tanh"), GaussianFamily(0.25))
+        model = MlpModel(MlpSpec((3, 8, 4), activation="tanh"), GaussianFamily(0.3))
 
         def learner():
             return SgdReplayLearner(model, seed=0, buffer_size=5, optimizer=optimizer,
                                     lr=0.05, inner_iters=inner_iters)
 
-        agent, ref = SgdBanditAgent(learner(), 0.3), learner()
+        agent, ref = SgdBanditAgent(learner()), learner()
         for t in range(30):
             x, action, reward = env.contexts[t], t % 4, env.reward(t, t % 4)
             agent.learn(x, action, reward)

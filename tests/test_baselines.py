@@ -46,6 +46,12 @@ def linear_model(d, r):
     )
 
 
+def diagonal_ekf(stepper, b, model, x, y, dyn):
+    """One predict, linearize and ``stepper`` update of a diagonal EKF."""
+    pred = diagonal_predict(b, dyn)
+    return stepper(pred, linearize(model, x, pred.mean), y)
+
+
 def conjugate_posterior(xs, ys, eta0, r):
     d = xs[0].shape[0]
     prec = eta0 * np.eye(d)
@@ -106,7 +112,7 @@ class TestDiagonalEkfs:
         for stepper in (vdekf_step, fdekf_step):
             b = DiagonalBelief(np.array([0.2]), np.array([eta0]))
             x, y = np.array([1.1]), np.array([0.9])
-            out, _ = stepper(b, model, x, y, dyn)
+            out = diagonal_ekf(stepper, b, model, x, y, dyn)
             var0 = 1.0 / eta0
             k = var0 * x[0] / (var0 * x[0] ** 2 + r)
             assert out.mean[0] == pytest.approx(0.2 + k * (y[0] - 0.2 * x[0]), abs=1e-12)
@@ -122,7 +128,7 @@ class TestDiagonalEkfs:
         dyn = DynamicsConfig(1.0, 0.0, 1.0)
         for stepper in (vdekf_step, fdekf_step):
             b = DiagonalBelief(np.zeros(3), np.ones(3))
-            out, _ = stepper(b, model, np.zeros(1), np.array([1.0]), dyn)
+            out = diagonal_ekf(stepper, b, model, np.zeros(1), np.array([1.0]), dyn)
             assert out.mean == pytest.approx(b.mean)
             assert out.diag_precision == pytest.approx(b.diag_precision)
 
@@ -141,9 +147,9 @@ class TestDiagonalEkfs:
         b = DiagonalBelief(np.zeros(p * c), np.ones(p * c))
         lin = linearize(model, x, b.mean)
         prec_star = np.eye(p * c) + lin.jacobian.T @ np.linalg.inv(lin.obs_cov) @ lin.jacobian
-        vd, _ = vdekf_step(b, model, x, y, dyn)
+        vd = diagonal_ekf(vdekf_step, b, model, x, y, dyn)
         assert vd.diag_precision == pytest.approx(np.diag(prec_star), abs=1e-10)
-        fd, _ = fdekf_step(b, model, x, y, dyn)
+        fd = diagonal_ekf(fdekf_step, b, model, x, y, dyn)
         assert fd.diag_precision == pytest.approx(1.0 / np.diag(np.linalg.inv(prec_star)), abs=1e-10)
 
     def test_fdekf_takes_one_pinv_per_step(self, monkeypatch):
@@ -162,7 +168,7 @@ class TestDiagonalEkfs:
         cov_diag = 1.0 / pred.diag_precision - np.einsum("ij,ij->i", cross @ s_pinv, cross)
         calls = []
         monkeypatch.setattr(baselines, "sym_pinv", lambda a: calls.append(1) or sym_pinv(a))
-        out, _ = fdekf_step(b, model, x, y, dyn)
+        out = fdekf_step(pred, lin, y)
         assert len(calls) == 1
         np.testing.assert_array_equal(out.mean, mean)
         np.testing.assert_array_equal(out.diag_precision, 1.0 / cov_diag)
@@ -210,7 +216,7 @@ class TestDiagonalEkfs:
             x = rng.uniform(-1, 1, 2)
             y = rng.standard_normal(1)
             b_lr, _ = lr_step(b_lr, x, y, model, cfg)
-            b_vd, _ = vdekf_step(b_vd, model, x, y, dyn)
+            b_vd = diagonal_ekf(vdekf_step, b_vd, model, x, y, dyn)
             assert np.max(np.abs(b_lr.mean - b_vd.mean)) < 1e-10
             assert np.max(np.abs(b_lr.diag_precision - b_vd.diag_precision)) < 1e-10
 

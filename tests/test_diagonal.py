@@ -391,8 +391,9 @@ class TestFactorLayout:
 
         model, cfg, lin, y = self.categorical_step_inputs(rank=4)
         if masked:
-            lin = masked_reward_linearization(model, np.array([0.1, 0.7, -0.4]),
-                                              initialize_mean(model.spec, 2), 2, 0.25)
+            rewards = MlpModel(model.spec, GaussianFamily(0.25))
+            lin = masked_reward_linearization(rewards, np.array([0.1, 0.7, -0.4]),
+                                              initialize_mean(model.spec, 2), 2)
             y = np.array([1.0])
         b = random_dlr(model.parameter_count, 4, seed=7)
         pred = predict(b, cfg, out_dim=4)

@@ -1,3 +1,7 @@
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from lrkf.streams import (
     prequential_eval,
 )
 
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 PARAMS = {"rank": 3, "process_noise": 1e-4, "inflation": "hybrid", "inflation_alpha": 0.05}
 
 
@@ -80,7 +85,7 @@ def test_bandit_predicts_once_per_step(count_diagonal_predict):
     assert len(count_diagonal_predict) == 40
 
 
-@pytest.mark.parametrize("tag", ["lrekf", "iekf", "ilrekf"])
+@pytest.mark.parametrize("tag", ["lrekf", "iekf", "ilrekf", "vdekf", "fdekf"])
 def test_observe_drops_the_cached_prediction(tag):
     model, events = sine_setup()
     params = PARAMS if tag == "lrekf" else {"rank": 3, "process_noise": 1e-4}
@@ -118,7 +123,7 @@ def test_held_predicted_belief_keeps_its_bits(kind):
             lin = linearize(model, ev.x, held.mean)
         else:
             agent.learn(ev.x, 2, 1.0)
-            lin = masked_reward_linearization(model, ev.x, held.mean, 2, agent.reward_variance)
+            lin = masked_reward_linearization(model, ev.x, held.mean, 2)
         if t == 0:  # the update wrote the spare columns, and kept none of them
             c = lin.jacobian.shape[0]
             np.testing.assert_array_equal(spare[:, :c], lin.whitened_jacobian_t)
@@ -138,9 +143,9 @@ def test_prequential_eval_runs_two_mlp_passes_per_event(count_mlp_passes, tag):
     assert count_mlp_passes == {"forward": len(events), "passes": 2 * len(events)}
 
 
-def test_vdekf_builds_three_beliefs_per_event(monkeypatch):
-    # predict's predicted belief, observe's own prediction and the
-    # posterior; predict used to copy its belief into a DlrBelief view too
+def test_vdekf_builds_two_beliefs_per_event(monkeypatch):
+    # the predicted belief, shared by predict and observe, and the
+    # posterior; observe used to build its own prediction too
     from lrkf.baselines import DiagonalBelief
 
     built = []
@@ -152,7 +157,7 @@ def test_vdekf_builds_three_beliefs_per_event(monkeypatch):
     learner = build_learner("vdekf", model, {"process_noise": 1e-4}, seed=0)
     built.clear()
     prequential_eval(learner, events, ("rmse", "nll", "nlpd"), nlpd_samples=4)
-    assert len({id(b) for b in built}) == 3 * len(events)
+    assert len({id(b) for b in built}) == 2 * len(events)
 
 
 def test_nlpd_adds_one_batched_pass_per_event(count_mlp_passes):
@@ -215,3 +220,22 @@ def test_nan_target_fails_the_update(tag, update):
     learner.observe(events[0].x, events[0].y)
     with pytest.raises(NumericalDegeneracyError, match="non-finite innovation"):
         learner.observe(events[1].x, np.array([np.nan]))
+
+
+def test_traced_vdekf_reaches_each_layer_once_per_event():
+    # perfbench's --trace 1 wraps vdekf_step on its module and each class's
+    # own predict and observe; the diagonal EKF must reach each once per event
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    model, events = sine_setup()
+    learner = build_learner("vdekf", model, {"process_noise": 1e-4}, seed=0)
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        prequential_eval(learner, events, ("rmse", "nll"))
+    finally:
+        tracing.uninstall(undo)
+    calls = Counter(span[0] for span in tracer.spans)
+    for name in ("baselines.vdekf_step", "learners.predict", "learners.observe"):
+        assert calls[name] == len(events), name

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from lrkf import schema
-from lrkf.bandit import FilterBanditAgent
 from lrkf.cli import main
-from lrkf.harness import bandit_problems, parse_config, run_experiment, validate_config
+from lrkf.exceptions import ConfigError
+from lrkf.harness import (
+    bandit_problems, parse_config, run_bandit_experiment, run_experiment, validate_config,
+)
 from lrkf.learners import REGISTRY
 from lrkf.schema import defaults
 
@@ -87,7 +89,9 @@ def test_benchmark_configs_validate(name):
     assert validate_config(BENCHMARK_CONFIGS[name]) == []
 
 
-# the keys each section accepted before the schema table; the table adds none
+# the keys each section accepted before the schema table, less [bandit]
+# reward_variance (the bandit's reward noise is [model] obs_variance); the
+# table adds none
 PARENT_KEYS = {name: set(keys.split()) for name, keys in {
     "experiment": "seeds passes metrics output nlpd_samples",
     "model": "hidden activation family obs_variance",
@@ -98,7 +102,7 @@ PARENT_KEYS = {name: set(keys.split()) for name, keys in {
               "num_classes margin_noise path target standardize split_seed test_fraction",
     "tune": "budget steps seed objective space_initial_precision space_process_noise "
             "space_gamma space_obs_variance",
-    "bandit": "actions steps policy epsilon reward_variance",
+    "bandit": "actions steps policy epsilon",
 }.items()}
 
 
@@ -126,13 +130,6 @@ def test_stream_defaults_are_per_kind():
     assert defaults("stream", "permuted_classification") == {**classes, "steps_per_task": 300}
     assert defaults("tune")["steps"] == 500
     assert defaults("bandit")["steps"] == 2000
-
-
-def test_agents_take_the_tables_reward_variance():
-    import inspect
-
-    agent_default = inspect.signature(FilterBanditAgent).parameters["reward_variance"].default
-    assert defaults("bandit")["reward_variance"] == agent_default == 0.25
 
 
 def test_steady_state_identity_that_holds_runs(tmp_path):
@@ -204,6 +201,45 @@ def test_bandit_rejects_stream_settings_it_ignores(old, new, problem, tmp_path, 
     (tmp_path / "b.ini").write_text(text)
     assert main(["bandit", str(tmp_path / "b.ini")]) == 1
     assert f"config error: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def bandit_config(tmp_path, name, text):
+    """A 200-step, one-seed copy of bandit.ini edited to ``text``."""
+    for old, new in (("seeds = 0 1 2", "seeds = 0"), ("steps = 2000", "steps = 200"),
+                     ("output = out/bandit", f"output = {tmp_path / name}")):
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / f"{name}.ini").write_text(text)
+    return str(tmp_path / f"{name}.ini")
+
+
+def test_bandit_conditions_on_the_models_obs_variance(tmp_path):
+    # the agents once read only [bandit] reward_variance, so these were byte-identical
+    csvs = []
+    for name, value in (("low", "0.005"), ("high", "5.0")):
+        text = BANDIT_INI.replace("obs_variance = 0.005", f"obs_variance = {value}")
+        assert main(["bandit", bandit_config(tmp_path, name, text)]) == 0
+        csvs.append((tmp_path / name / "bandit_metrics.csv").read_bytes())
+    assert csvs[0] != csvs[1]
+
+
+def test_bandit_rejects_a_categorical_reward_model(tmp_path):
+    # the reward noise is the Gaussian family's; a categorical one has none
+    text = BANDIT_INI.replace("family = gaussian\nobs_variance = 0.005", "family = categorical")
+    cfg = parse_config(bandit_config(tmp_path, "out", text))
+    with pytest.raises(ConfigError) as info:
+        run_bandit_experiment(cfg)
+    problem = "model.family: lrkf bandit models rewards as gaussian, not 'categorical'"
+    assert problem in info.value.problems
+    assert not (tmp_path / "out").exists()
+
+
+def test_bandit_reward_variance_is_an_unknown_key(tmp_path, capsys):
+    path = bandit_config(tmp_path, "out", BANDIT_INI + "reward_variance = 0.005\n")
+    assert main(["bandit", path]) == 1
+    assert capsys.readouterr().err == (
+        "config error: bandit.reward_variance: unknown key; valid: actions, epsilon, policy, steps\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -187,7 +187,7 @@ class _PerfectLearner:
     def predict(self, x):
         from lrkf.learners import PredictOutput
 
-        return PredictOutput(np.asarray(x), self.targets[min(self.i, len(self.targets) - 1)])
+        return PredictOutput(self.targets[min(self.i, len(self.targets) - 1)])
 
     def observe(self, x, y):
         self.seen.append((x, y))
@@ -260,7 +260,7 @@ class TestPrequential:
                 from lrkf.learners import PredictOutput
 
                 access_log.append(("predict", int(x[0])))
-                return PredictOutput(x, np.zeros(1))
+                return PredictOutput(np.zeros(1))
 
             def observe(self, x, y):
                 pass
@@ -281,7 +281,7 @@ class TestPrequential:
                 from lrkf.learners import PredictOutput
 
                 seen.append(x)
-                return PredictOutput(x, np.zeros(1))
+                return PredictOutput(np.zeros(1))
 
             def observe(self, x, y):
                 seen.append(x)
@@ -329,7 +329,7 @@ class TestBatchedScoring:
     it replaced, row for row and bit for bit."""
 
     @staticmethod
-    def metric_value(metric, learner, out, y, nlpd_samples, seed, t):
+    def metric_value(metric, learner, x, out, y, nlpd_samples, seed, t):
         from lrkf.predictive import CategoricalPrediction, GaussianPrediction, mc_predict
 
         if metric == "rmse":
@@ -345,7 +345,7 @@ class TestBatchedScoring:
             y_hat = np.atleast_1d(out.y_hat)
             c = y_hat.shape[0]
             return float(GaussianPrediction(y_hat, family.obs_cov(c), family.obs_chol(c)).nll(y))
-        return float(mc_predict(out.belief, learner.model, out.x, y, nlpd_samples, [seed, t]))
+        return float(mc_predict(out.belief, learner.model, x, y, nlpd_samples, [seed, t]))
 
     def reference_rows(self, learner, stream, metrics, window, nlpd_samples=7, seed=0):
         from lrkf.streams import _rolling_mean
@@ -356,7 +356,7 @@ class TestBatchedScoring:
             out = learner.predict(ev.x)
             meta.append((ev.t, ev.task_id))
             for m in metrics:
-                raw[m].append(self.metric_value(m, learner, out, ev.y, nlpd_samples, seed, ev.t))
+                raw[m].append(self.metric_value(m, learner, ev.x, out, ev.y, nlpd_samples, seed, ev.t))
             learner.observe(ev.x, ev.y)
         rows = []
         for m in metrics:

@@ -60,7 +60,7 @@ class DlrBelief:
             raise ValueError(
                 f"low_rank has {low.shape[0]} rows but the mean has length {mean.shape[0]}"
             )
-        if not np.isfinite(diag).all() or (diag <= 0).any():
+        if diag.size and not (diag.min() > 0.0 and diag.max() < np.inf):  # a NaN min fails
             raise ValueError("diag_precision entries must be finite and > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "diag_precision", diag)

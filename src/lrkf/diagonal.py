@@ -117,7 +117,8 @@ def predict(belief, cfg, out_dim=0):
         return DlrBelief(mean, ups_pred, ext[:, :rank])
     ratio = ups_pred / ups
     scaled = ratio[:, None] * w
-    core = np.eye(w.shape[1]) + q * (w.T @ scaled)
+    core = q * (w.T @ scaled)
+    core.flat[:: rank + 1] += 1.0  # I + q W^T scaled, with no identity temporary
     try:
         core_inv = np.linalg.inv(core)
     except np.linalg.LinAlgError as exc:

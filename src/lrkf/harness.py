@@ -37,6 +37,7 @@ WORKERS_ENV = "LRKF_WORKERS"
 # a failed seed: lost positive definiteness or a non-finite value
 SEED_FAILURES = (NumericalDegeneracyError, np.linalg.LinAlgError, FloatingPointError)
 _EXPERIMENT = defaults("experiment")
+METRIC_HEADER = "t,task_id,seed,method,metric,value\n"
 
 
 @dataclass
@@ -175,9 +176,14 @@ def _write_csv(path, header, rows):
 
 
 def write_metric_csv(path, rows):
-    _write_csv(path, ["t", "task_id", "seed", "method", "metric", "value"], (
-        [r["t"], r["task_id"], r["seed"], r["method"], r["metric"], _fmt(r["value"])] for r in rows
-    ))
+    """Write ``rows`` under :data:`METRIC_HEADER`; return the text after the
+    header. No field holds a character ``csv.writer`` would quote (tested),
+    so joining the fields gives its bytes."""
+    body = "".join(f"{r['t']},{r['task_id']},{r['seed']},{r['method']},{r['metric']},"
+                   f"{_fmt(r['value'])}\n" for r in rows)
+    with open(path, "w", newline="") as fh:
+        fh.writelines((METRIC_HEADER, body))
+    return body
 
 
 def write_summary_csv(path, rows_by_seed, method):
@@ -217,7 +223,7 @@ def run_experiment(cfg):
     else:
         results = [run_seed(cfg, seed) for seed in cfg.seeds]
 
-    merged = []
+    bodies = []  # metrics.csv is the per-seed files' rows in seed order
     rows_by_seed = {}
     errors = {}
     for seed, (rows, err) in zip(cfg.seeds, results):
@@ -226,9 +232,9 @@ def run_experiment(cfg):
             continue
         decorated = [dict(r, seed=seed, method=cfg.method) for r in rows]
         rows_by_seed[seed] = rows
-        write_metric_csv(os.path.join(cfg.output, f"metrics_seed{seed}.csv"), decorated)
-        merged.extend(decorated)
-    write_metric_csv(os.path.join(cfg.output, "metrics.csv"), merged)
+        bodies.append(write_metric_csv(os.path.join(cfg.output, f"metrics_seed{seed}.csv"), decorated))
+    with open(os.path.join(cfg.output, "metrics.csv"), "w", newline="") as fh:
+        fh.writelines((METRIC_HEADER, *bodies))
     if rows_by_seed:
         write_summary_csv(os.path.join(cfg.output, "summary.csv"), rows_by_seed, cfg.method)
     _write_failures(cfg.output, errors)
@@ -307,7 +313,10 @@ def write_trials_csv(path, trials):
 
 def bandit_problems(cfg):
     """Problems ``lrkf bandit`` adds to :func:`validate_config`; it draws
-    a synthetic_classification stream and reads only ``stream.in_dim``."""
+    a synthetic_classification stream, reads only ``stream.in_dim`` and
+    scores no metric. :class:`ExperimentConfig` does not record which keys
+    were set, so ``experiment.metrics`` and ``nlpd_samples`` are reported
+    as not read when they differ from their defaults."""
     problems = []
     method = REGISTRY.get(cfg.method)
     policy = {**defaults("bandit"), **cfg.bandit}["policy"]
@@ -326,6 +335,8 @@ def bandit_problems(cfg):
                         f"not {cfg.stream['kind']!r}")
     problems.extend(f"stream.{name}: not read by lrkf bandit; it reads kind and in_dim"
                     for name in cfg.stream if name not in ("kind", "in_dim"))
+    problems.extend(f"experiment.{name}: not read by lrkf bandit; it writes reward and cum_reward"
+                    for name in ("metrics", "nlpd_samples") if getattr(cfg, name) != _EXPERIMENT[name])
     return problems
 
 
@@ -337,7 +348,8 @@ def run_bandit_experiment(cfg):
     ``failures.txt``, as in :func:`run_experiment`."""
     from .bandit import FilterBanditAgent, SgdBanditAgent, env_from_stream, run_bandit
 
-    problems = validate_config(cfg) + bandit_problems(cfg)
+    # the bandit scores no metric; nll passes every rule on experiment.metrics
+    problems = validate_config(replace(cfg, metrics=("nll",))) + bandit_problems(cfg)
     if problems:
         raise ConfigError(problems)
     b = {**defaults("bandit"), **cfg.bandit}

@@ -61,10 +61,13 @@ def sym_pinv(a):
     It covers the singular moment-matched innovation covariance of a
     categorical likelihood. The eigenpairs come from ``np.linalg.eigh``,
     whose ``dsyevd`` resolves the null direction of a singular ``a`` to
-    below the cutoff. For a 1 x 1 ``a`` the result is exactly ``1 / a``,
-    as from ``np.linalg.pinv(a, hermitian=True)``. A non-finite ``a`` or
-    a failed call raises NumericalDegeneracyError.
+    below the cutoff. A finite 1 x 1 ``a``, the S of every C = 1 update,
+    skips ``eigh``: its result is ``[[1 / a]]`` (``[[0.0]]`` for a zero),
+    bit for bit what the eigenpairs and ``np.linalg.pinv(a, hermitian=True)``
+    give. A non-finite ``a`` or a failed call raises NumericalDegeneracyError.
     """
+    if a.shape == (1, 1) and abs(v := float(a[0, 0])) < np.inf:  # else _eigh raises
+        return np.array([[1.0 / v if v else 0.0]])
     vals, vecs = _eigh(a, "sym_pinv")
     mag = np.abs(vals)
     inv = np.zeros_like(vals)
@@ -167,13 +170,14 @@ def woodbury_mean(mean, diag, w, rhs):
     d_inv = 1.0 / np.asarray(diag, dtype=float)
     if not (d_inv > 0.0).all():  # False on NaN as well
         raise NumericalDegeneracyError("Woodbury core solve failed: d^-1 has an entry <= 0 or NaN")
-    eye = np.eye(w.shape[1])
     if w.size < WHITENED_MIN_SIZE:
         m = d_inv[..., None] * w
-        coef = _solve_core(eye + w.T @ m, m.T @ rhs)
+        core = w.T @ m
+        core.flat[:: w.shape[1] + 1] += 1.0  # I + W^T M, with no identity temporary
+        coef = _solve_core(core, m.T @ rhs)
         return mean + d_inv * rhs - m @ coef
     scale = np.sqrt(d_inv)
-    core = eye
+    core = np.eye(w.shape[1])
     for start in range(0, w.shape[0], WHITENED_BLOCK):
         rows = slice(start, start + WHITENED_BLOCK)
         r = (scale[rows, None] if scale.ndim else scale) * w[rows]

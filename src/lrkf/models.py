@@ -292,8 +292,8 @@ class MlpModel:
             pos -= n_out
             jac[:, pos : pos + n_out] = g
             pos -= n_in * n_out
-            block = g[:, :, None] * acts[i][None, None, :]
-            jac[:, pos : pos + n_in * n_out] = block.reshape(c, n_in * n_out)
+            block = jac[:, pos : pos + n_in * n_out].reshape(c, n_out, n_in)  # a view of jac
+            np.multiply(g[:, :, None], acts[i], out=block)
             if i > 0:
                 g = (g @ weight) * _act_grad(self.spec, pre[i - 1], acts[i])[None, :]
         return pre[-1], jac

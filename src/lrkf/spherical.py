@@ -31,8 +31,11 @@ def complete_basis(u_part, preferred, rank):
 
     Filler directions are drawn first from ``preferred`` (e.g. the
     previous basis), then from identity columns, each orthogonalized
-    against what is already kept. Deterministic.
+    against what is already kept. Deterministic. Returns a new C-ordered
+    array: a copy of ``u_part`` when it already has ``rank`` columns.
     """
+    if u_part.shape[1] >= rank:
+        return np.array(u_part, order="C")
     p = u_part.shape[0]
     kept = [u_part[:, j] for j in range(u_part.shape[1])]
     candidates = [preferred[:, j] for j in range(preferred.shape[1])]
@@ -54,8 +57,6 @@ def complete_basis(u_part, preferred, rank):
         norm = np.linalg.norm(v)
         if norm > 1e-8:
             kept.append(v / norm)
-    if not kept:
-        return np.zeros((p, 0))
     return np.column_stack(kept)
 
 
@@ -96,8 +97,10 @@ def predict(belief, cfg):
 def _posterior_mean(belief_pred, lin, y):
     """Posterior mean, and the extended factor (scaled basis with the
     whitened Jacobian columns appended) it was solved against."""
-    w = belief_pred.basis * belief_pred.singular_values
-    w_ext = np.hstack([w, lin.whitened_jacobian_t])
+    (p, rank), jac_t = belief_pred.basis.shape, lin.whitened_jacobian_t
+    w_ext = np.empty((p, rank + jac_t.shape[1]))  # C order, as np.hstack built it
+    np.multiply(belief_pred.basis, belief_pred.singular_values, out=w_ext[:, :rank])
+    w_ext[:, rank:] = jac_t
     rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
     return woodbury_mean(belief_pred.mean, belief_pred.eta, w_ext, rhs), w_ext
 

@@ -49,6 +49,16 @@ def test_dlr_rejects_bad_shapes_and_values():
         DlrBelief(np.zeros(2), np.array([1.0, np.inf]), np.zeros((2, 0)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -2.0])
+def test_dlr_rejects_each_bad_diagonal_entry(bad):
+    with pytest.raises(ValueError, match="diag_precision entries must be finite and > 0"):
+        DlrBelief(np.zeros(3), np.array([1.0, bad, 2.0]), np.zeros((3, 1)))
+
+
+def test_dlr_accepts_zero_parameters():
+    assert DlrBelief(np.zeros(0), np.zeros(0), np.zeros((0, 2))).dim == 0
+
+
 def test_dense_oracle_limit_enforced():
     b = random_dlr(5, 1, seed=0)
     with pytest.raises(ValueError):

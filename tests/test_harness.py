@@ -293,6 +293,48 @@ class TestRunExperiment:
         assert 1 in status["failed"]
         assert (tmp_path / "o" / "failures.txt").exists()
 
+    def test_merged_file_is_the_header_and_the_per_seed_bodies(self, tmp_path, monkeypatch):
+        from lrkf import harness
+
+        real = harness.run_seed
+        monkeypatch.setattr(harness, "run_seed", lambda cfg, seed: (
+            ([], "NumericalDegeneracyError: injected") if seed == 1 else real(cfg, seed)))
+        text = BASIC.format(out=tmp_path / "o").replace("seeds = 0 1", "seeds = 0 1 2")
+        status = harness.run_experiment(parse_config(write_config(tmp_path / "c.ini", text)))
+        assert status["completed"] == [0, 2]
+        header = b"t,task_id,seed,method,metric,value\n"
+        bodies = []
+        for seed in (0, 2):
+            data = (tmp_path / "o" / f"metrics_seed{seed}.csv").read_bytes()
+            assert data.startswith(header) and len(data) > len(header)
+            bodies.append(data[len(header):])
+        assert (tmp_path / "o" / "metrics.csv").read_bytes() == header + b"".join(bodies)
+
+    def test_metric_files_are_what_csv_writer_writes(self, tmp_path):
+        # write_metric_csv joins fields without csv.writer: no value of the
+        # schema may hold a character that csv.writer would quote
+        import csv
+        import io
+
+        from lrkf.learners import REGISTRY
+        from lrkf.streams import METRICS
+
+        run_experiment(parse_config(write_config(tmp_path / "c.ini", BASIC.format(out=tmp_path / "r"))))
+        assert main(["bandit", write_config(tmp_path / "b.ini", BANDIT.format(out=tmp_path / "b"))]) == 0
+        metric_names = set()
+        for path in (tmp_path / "r" / "metrics.csv", tmp_path / "b" / "bandit_metrics.csv"):
+            data = path.read_text()
+            rows = list(csv.reader(io.StringIO(data)))
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            assert buf.getvalue() == data
+            metric_names.update(row[4] for row in rows[1:])
+        assert metric_names >= {"reward", "cum_reward"}
+        for name in {*REGISTRY, *METRICS, "test_rmse", *metric_names}:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow([name, name])
+            assert buf.getvalue() == f"{name},{name}\n", name
+
     def test_lost_spherical_orthonormality_fails_only_that_seed(self, tmp_path, monkeypatch):
         # a thin_svd that skews the second basis column toward the first
         # pushes update_svd's basis past the 1e-8 orthonormality bound

@@ -209,6 +209,33 @@ class TestSymPinv:
         with pytest.raises(NumericalDegeneracyError, match="sym_pinv: non-finite"):
             sym_pinv(np.array([[1.0, np.nan], [np.nan, 2.0]]))
 
+    def test_scalar_matches_the_eigh_route_bit_for_bit(self):
+        # the 1 x 1 input skips eigh; this is the eigenpair route it skips
+        def eigh_pinv(a):
+            vals, vecs = np.linalg.eigh(a)
+            mag = np.abs(vals)
+            inv = np.zeros_like(vals)
+            live = mag > 1e-15 * mag.max()
+            inv[live] = 1.0 / vals[live]
+            return (vecs * inv) @ vecs.T
+
+        rng = np.random.default_rng(14)
+        values = rng.choice([-1.0, 1.0], 192) * rng.lognormal(0.0, 30.0, 192)
+        values = [*values, 0.0, -0.0, 1e-310, -1e-310, 5e-324, 1.0, -1.0, 1e300]
+        assert len(values) == 200
+        for value in values:
+            a = np.array([[value]])
+            with np.errstate(over="ignore"):  # 1 / 1e-310 overflows to inf
+                ref = eigh_pinv(a)
+            got = sym_pinv(a)
+            assert got.shape == (1, 1) and got.dtype == np.float64
+            assert got.tobytes() == ref.tobytes(), value
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_raises(self, value):
+        with pytest.raises(NumericalDegeneracyError, match=r"^sym_pinv: non-finite matrix$"):
+            sym_pinv(np.array([[value]]))
+
 
 class TestFixColumnSigns:
     def test_leading_zeros_and_zero_column(self):

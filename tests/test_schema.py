@@ -235,6 +235,28 @@ def test_bandit_rejects_a_categorical_reward_model(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+NOT_READ = "not read by lrkf bandit; it writes reward and cum_reward"
+
+
+@pytest.mark.parametrize("old, new, problems", [
+    ("seeds = 0 1 2", "seeds = 0 1 2\nmetrics = nll nlpd\nnlpd_samples = 7",
+     [f"experiment.metrics: {NOT_READ}", f"experiment.nlpd_samples: {NOT_READ}"]),
+    ("seeds = 0 1 2", "seeds = 0 1 2\nmetrics = misclass", [f"experiment.metrics: {NOT_READ}"]),
+    ("family = gaussian\nobs_variance = 0.005", "family = categorical",
+     ["model.family: lrkf bandit models rewards as gaussian, not 'categorical'"]),
+], ids=["nlpd", "misclass", "categorical"])
+def test_bandit_reports_only_the_experiment_keys_it_ignores(old, new, problems, tmp_path):
+    # the first passed silently; the other two also drew the rule that
+    # misclass or the default rmse does not fit the family, which the
+    # bandit never applies
+    assert old in BANDIT_INI
+    cfg = parse_config(bandit_config(tmp_path, "out", BANDIT_INI.replace(old, new)))
+    with pytest.raises(ConfigError) as info:
+        run_bandit_experiment(cfg)
+    assert info.value.problems == problems
+    assert not (tmp_path / "out").exists()
+
+
 def test_bandit_reward_variance_is_an_unknown_key(tmp_path, capsys):
     path = bandit_config(tmp_path, "out", BANDIT_INI + "reward_variance = 0.005\n")
     assert main(["bandit", path]) == 1

@@ -245,6 +245,15 @@ class TestUpdateOrth:
         assert orthonormality_error(b.basis) <= 1e-8
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_complete_basis_with_rank_columns_is_a_fresh_column_stack(order):
+    u = np.array(np.linalg.qr(np.random.default_rng(3).standard_normal((9, 4)))[0], order=order)
+    got = complete_basis(u, np.eye(9)[:, :2], 4)
+    assert np.array_equal(got, np.column_stack([u[:, j] for j in range(4)]))
+    assert got.flags.c_contiguous
+    assert not np.shares_memory(got, u)
+
+
 def test_complete_basis_fills_deterministically():
     u = np.eye(5)[:, :1]
     filled = complete_basis(u, np.zeros((5, 0)), 3)

@@ -4,6 +4,7 @@
     lrkf tune <config>       random-search hyperparameters, print the best
     lrkf bandit <config>     run the contextual bandit comparison
     lrkf validate <config>   report every config problem, exit 1 if any
+                             (as lrkf bandit does if the config sets [bandit] keys)
     lrkf list-methods        show the method registry
 
 Exit code 0 only when everything completed.
@@ -15,6 +16,7 @@ import sys
 
 from .exceptions import ConfigError, TuningError
 from .harness import (
+    bandit_problems,
     parse_config,
     run_bandit_experiment,
     run_experiment,
@@ -61,7 +63,8 @@ def _cmd_bandit(args):
 
 
 def _cmd_validate(args):
-    problems = validate_config(parse_config(args.config))
+    cfg = parse_config(args.config)
+    problems = (bandit_problems if cfg.bandit else validate_config)(cfg)
     if problems:
         for p in problems:
             print(p)

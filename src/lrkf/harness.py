@@ -312,12 +312,14 @@ def write_trials_csv(path, trials):
 # ---------------------------------------------------------------------------
 
 def bandit_problems(cfg):
-    """Problems ``lrkf bandit`` adds to :func:`validate_config`; it draws
-    a synthetic_classification stream, reads only ``stream.in_dim`` and
-    scores no metric. :class:`ExperimentConfig` does not record which keys
-    were set, so ``experiment.metrics`` and ``nlpd_samples`` are reported
-    as not read when they differ from their defaults."""
-    problems = []
+    """Every problem ``lrkf bandit`` (and ``lrkf validate`` on a config
+    with ``[bandit]`` keys) reports: those of :func:`validate_config` with
+    ``metrics = nll``, which passes every rule on it, and the bandit's own;
+    it draws a synthetic_classification stream, reads only ``stream.in_dim``
+    and scores no metric. :class:`ExperimentConfig` does not record which
+    keys were set, so ``experiment.metrics`` and ``nlpd_samples`` are
+    reported as not read when they differ from their defaults."""
+    problems = validate_config(replace(cfg, metrics=("nll",)))
     method = REGISTRY.get(cfg.method)
     policy = {**defaults("bandit"), **cfg.bandit}["policy"]
     if method and not method.masked:
@@ -348,8 +350,7 @@ def run_bandit_experiment(cfg):
     ``failures.txt``, as in :func:`run_experiment`."""
     from .bandit import FilterBanditAgent, SgdBanditAgent, env_from_stream, run_bandit
 
-    # the bandit scores no metric; nll passes every rule on experiment.metrics
-    problems = validate_config(replace(cfg, metrics=("nll",))) + bandit_problems(cfg)
+    problems = bandit_problems(cfg)
     if problems:
         raise ConfigError(problems)
     b = {**defaults("bandit"), **cfg.bandit}

@@ -12,8 +12,9 @@ Every filter, the diagonal EKFs included, is a Bayesian learner: it
 supplies ``_predict_belief`` and ``_update`` and computes its predicted
 belief once per state. The belief returned by ``predicted_belief()`` is
 cached and shared by ``predict()``, ``observe()`` and the bandit agent's
-``act()`` and ``learn()`` until the state changes. Every state change goes
-through ``_commit``, which drops the cache.
+``act()`` and ``learn()`` until the state changes, and so is the network
+pass ``predict()`` makes, which ``observe()`` linearizes from. Every state
+change goes through ``_commit``, which drops both.
 
 The module-level ``REGISTRY`` maps each method tag to its factory and
 capabilities; the config keys each method reads are in :mod:`lrkf.schema`.
@@ -48,6 +49,7 @@ class _BayesianLearner:
         self.latent = LatentPrior(cfg.dynamics.initial_precision)
         self.t = 0
         self._pred = None
+        self._kept = {}  # the network pass of predict(), for observe() to linearize from
 
     # subclasses: _predict_belief, _update, and _inflate if they inflate
 
@@ -62,7 +64,7 @@ class _BayesianLearner:
 
     def predict(self, x):
         pred = self.predicted_belief()
-        return PredictOutput(self.model.forward(x, pred.mean), pred)
+        return PredictOutput(self.model.forward(x, pred.mean, keep=self._kept), pred)
 
     def apply_update(self, pred, lin, y):
         """Condition on one (possibly masked) linearized observation and
@@ -72,13 +74,14 @@ class _BayesianLearner:
 
     def observe(self, x, y):
         pred = self.predicted_belief()
-        lin = linearize(self.model, x, pred.mean)
+        lin = linearize(self.model, x, pred.mean, self._kept)
         self.apply_update(pred, lin, y)
 
     def _commit(self, belief):
-        """Take the posterior, advance the clock, drop the cached prediction."""
+        """Take the posterior, advance the clock, drop the cached prediction and pass."""
         self.belief = belief
         self._pred = None
+        self._kept.clear()
         dyn = self.cfg.dynamics
         self.latent.advance(dyn.gamma, dyn.process_noise)
         self.t += 1

@@ -99,12 +99,14 @@ def thin_svd(w):
     When P > K the decomposition goes through the K x K Gram matrix
     ``w.T w`` so the cost is O(P K^2 + K^3) rather than O(P^2 K). Its
     eigendecomposition is one ``np.linalg.eigh`` call (LAPACK
-    ``dsyevd``). With ``w.T w = V diag(s^2) V^T``, U is formed by one
-    matrix product ``w @ F``, ``F = V[:, live] / s[live]``, written
-    column-contiguous whatever the layout of ``w``. The sign rule is
-    folded into the K x K factor F: a column of F is negated when the
-    matching entry of row 0 of U, ``w[0] @ F``, is negative. Only when some live column
-    still has ``u[0, j] <= 0`` afterwards (a zero leading entry, or a
+    ``dsyevd``); its ascending values, clamped at 0, are put in stable
+    descending order by reversal when they are distinct and by an argsort
+    when some tie. With ``w.T w = V diag(s^2) V^T``, U is formed by one
+    matrix product ``w @ F``, ``F = V[:, live] / s[live]`` (no division
+    by a dead value), written column-contiguous whatever the layout of
+    ``w``. The sign rule is folded into the K x K factor F: a column of F
+    is negated when the matching entry of row 0 of U, ``w[0] @ F``, is
+    negative. Only when some live column still has ``u[0, j] <= 0`` afterwards (a zero leading entry, or a
     rounding disagreement between the row and the full product) does U go
     through :func:`fix_column_signs`.
 
@@ -118,13 +120,19 @@ def thin_svd(w):
         gram = w.T @ w
         vals, vecs = _eigh(gram, "thin_svd", "Gram matrix")
         vals = np.maximum(vals, 0.0)
-        order = np.argsort(-vals, kind="stable")
-        s = np.sqrt(vals[order])
+        distinct = (vals[1:] > vals[:-1]).all()  # then the stable sort is the reversal
+        order = slice(None, None, -1) if distinct else np.argsort(-vals, kind="stable")
+        s, vecs = np.sqrt(vals[order]), vecs[:, order]
         live = np.count_nonzero(s > RANK_EPS * s[0])  # s is sorted: a prefix
-        s[live:] = 0.0
-        factor = np.zeros((k, k))
-        factor[:, :live] = vecs[:, order[:live]] / s[:live]
-        factor[:, w[0] @ factor < 0] *= -1.0
+        if live == k:
+            factor = vecs / s
+        else:
+            s[live:] = 0.0
+            factor = np.zeros((k, k))
+            factor[:, :live] = vecs[:, :live] / s[:live]
+        flip = w[0] @ factor < 0
+        if flip.any():
+            factor[:, flip] *= -1.0
         u = np.matmul(w, factor, out=np.empty((p, k), order="F"))
         if (u[0, :live] > 0).all():
             return s, u

@@ -265,21 +265,34 @@ class MlpModel:
             raise ValueError(f"x has shape {x.shape}, expected ({self.spec.in_dim},)")
         return x
 
-    def logits(self, x, theta):
-        """Raw network output before any link function, (C,) or (S, C)."""
-        return self._pass(self._input(x), self.spec.unpack(theta))[0][-1]
+    def logits(self, x, theta, keep=None):
+        """Raw network output before any link function, (C,) or (S, C); a
+        dict ``keep`` receives the pass (``x``'s bytes, ``theta`` itself, the
+        unpacked layers, and ``pre`` and ``acts`` of every layer)."""
+        x, layers = self._input(x), self.spec.unpack(theta)
+        pre, acts = self._pass(x, layers)
+        if keep is not None:
+            keep.update(x=x.tobytes(), theta=theta, layers=layers, pre=pre, acts=acts)
+        return pre[-1]
 
-    def forward(self, x, theta):
-        """Observation mean: raw outputs, or softmax probabilities."""
-        return _link(self.family, self.logits(x, theta))
+    def forward(self, x, theta, keep=None):
+        """Observation mean: raw outputs, or softmax probabilities; ``keep``
+        records the pass as in :meth:`logits`, for a linearization to reuse."""
+        return _link(self.family, self.logits(x, theta, keep))
 
-    def logit_jacobian(self, x, theta):
+    def logit_jacobian(self, x, theta, kept=None):
         """Raw output and its C x P Jacobian in the flat parameters, as
-        ``(logits, jacobian)`` from one pass."""
+        ``(logits, jacobian)`` from one pass: the pass ``kept`` that
+        :meth:`forward` recorded if it was made at ``x``'s bytes and at this
+        very ``theta`` array, else a fresh one (the same bits either way)."""
         if np.ndim(theta) != 1:
             raise ValueError("the Jacobian takes a single parameter vector")
-        layers = self.spec.unpack(theta)
-        pre, acts = self._pass(self._input(x), layers)
+        x = self._input(x)
+        if kept and kept["theta"] is theta and kept["x"] == x.tobytes():
+            layers, pre, acts = kept["layers"], kept["pre"], [x, *kept["acts"][1:]]
+        else:
+            layers = self.spec.unpack(theta)
+            pre, acts = self._pass(x, layers)
         c = self.spec.out_dim
         p = self.spec.parameter_count
         jac = np.zeros((c, p))
@@ -298,10 +311,10 @@ class MlpModel:
                 g = (g @ weight) * _act_grad(self.spec, pre[i - 1], acts[i])[None, :]
         return pre[-1], jac
 
-    def jacobian(self, x, theta):
+    def jacobian(self, x, theta, kept=None):
         """Observation mean (softmax output for categorical) and its
-        Jacobian, as ``(mean, jacobian)`` from one pass."""
-        return _link_jacobian(self.family, *self.logit_jacobian(x, theta))
+        Jacobian, as ``(mean, jacobian)`` from one pass (or ``kept``)."""
+        return _link_jacobian(self.family, *self.logit_jacobian(x, theta, kept))
 
 
 @dataclass(frozen=True)
@@ -310,7 +323,8 @@ class FunctionModel:
 
     Handy for hand-built test problems such as linear maps or scalar
     polynomials; both callables take (x, theta) for one parameter vector.
-    A stack of draws (S, P) is evaluated row by row.
+    A stack of draws (S, P) is evaluated row by row. It keeps no pass:
+    ``keep`` and ``kept`` are accepted and ignored.
     """
 
     forward_fn: object
@@ -323,14 +337,14 @@ class FunctionModel:
             return np.stack([self.logits(x, row) for row in theta])
         return np.atleast_1d(np.asarray(self.forward_fn(x, theta), dtype=float))
 
-    def forward(self, x, theta):
+    def forward(self, x, theta, keep=None):
         return _link(self.family, self.logits(x, theta))
 
-    def logit_jacobian(self, x, theta):
+    def logit_jacobian(self, x, theta, kept=None):
         jac = np.atleast_2d(np.asarray(self.jacobian_fn(x, theta), dtype=float))
         return self.logits(x, theta), jac
 
-    def jacobian(self, x, theta):
+    def jacobian(self, x, theta, kept=None):
         return _link_jacobian(self.family, *self.logit_jacobian(x, theta))
 
 
@@ -346,7 +360,7 @@ def pseudo_whitener(cov):
     return a
 
 
-def linearize(model, x, mu):
+def linearize(model, x, mu, kept=None):
     """Linear-Gaussian approximation of the likelihood at parameter mu.
 
     For regression the covariance is the family's R and the whitener is
@@ -354,16 +368,17 @@ def linearize(model, x, mu):
     is ``diag(p) - p p^T`` at the clamped softmax output and the whitener
     is its eigenvalue pseudo-inverse square root; the kernel of R lies in
     the kernel of ``jacobian.T`` so whitened updates are well defined.
-    One network pass yields both the output and the Jacobian.
+    One network pass yields both the output and the Jacobian, or none when
+    ``kept`` holds the pass of ``model.forward(x, mu, keep=kept)``.
     """
     family = model.family
     if family.kind == "categorical":
-        logits, logit_jac = model.logit_jacobian(x, mu)
+        logits, logit_jac = model.logit_jacobian(x, mu, kept)
         y_hat = np.clip(softmax(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
         y_hat = y_hat / y_hat.sum()
         cov = _softmax_cov(y_hat)  # also the softmax Jacobian at y_hat
         return Linearization(y_hat, cov @ logit_jac, cov, pseudo_whitener(cov))
-    y_hat, jac = model.jacobian(x, mu)
+    y_hat, jac = model.jacobian(x, mu, kept)
     c = y_hat.shape[0]
     return Linearization(y_hat, jac, family.obs_cov(c), family.obs_whitener(c))
 

@@ -36,8 +36,11 @@ def gaussian_log_density(resid, chol):
     row's value is bit-identical to a call on that row alone. (One solve
     with S right-hand sides is not: LAPACK takes another rounding path.)
     """
-    white = np.linalg.solve(chol, resid[..., None])  # (..., C, 1)
-    quad = (white.swapaxes(-1, -2) @ white)[..., 0, 0]
+    if resid.shape[-1] == 1:  # the 1 x 1 solve's bits; a product with 1 / L has others
+        quad = np.square(resid[..., 0] / chol[0, 0])
+    else:
+        white = np.linalg.solve(chol, resid[..., None])  # (..., C, 1)
+        quad = (white.swapaxes(-1, -2) @ white)[..., 0, 0]
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (resid.shape[-1] * np.log(2 * np.pi) + logdet + quad)
 

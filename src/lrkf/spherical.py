@@ -111,7 +111,9 @@ def truncate(mean, eta, w_ext, preferred, rank, what):
     orthonormality check raises NumericalDegeneracyError naming ``what``."""
     s, u = thin_svd(w_ext)
     lam = s[:rank]
-    basis = complete_basis(u[:, :rank][:, lam > 0], preferred, rank)
+    live = lam > 0
+    # complete_basis copies its input: a view serves when every value is live
+    basis = complete_basis(u[:, :rank] if live.all() else u[:, :rank][:, live], preferred, rank)
     try:
         return SphericalBelief(mean, eta, basis, lam)
     except ValueError as exc:

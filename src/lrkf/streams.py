@@ -149,24 +149,25 @@ def gen_permuted_tasks(base, steps_per_task, seed):
 def gen_synthetic_classification(
     steps, in_dim, num_classes, seed, teacher_widths=(20,), margin_noise=0.0
 ):
-    """Labels from a random frozen MLP teacher on Gaussian inputs."""
-    from .models import CategoricalFamily, MlpModel, MlpSpec, initialize_mean
+    """Labels from a random frozen MLP teacher on Gaussian inputs. Each
+    event's input, then its margin noise, is drawn in stream order; the
+    teacher then runs once over all inputs, each row as a pass over it alone."""
+    from .models import MlpModel, MlpSpec, initialize_mean
 
     rng = np.random.default_rng(seed)
     spec = MlpSpec((in_dim, *teacher_widths, num_classes), activation="tanh")
-    teacher = MlpModel(spec, CategoricalFamily())
     theta = 3.0 * initialize_mean(spec, rng.integers(2**31))
-    events = []
-    for t in range(steps):
-        x = rng.standard_normal(in_dim)
-        logits = teacher.logits(x, theta)
+    xs, noise = [], []
+    for _ in range(steps):
+        xs.append(rng.standard_normal(in_dim))
         if margin_noise > 0:
-            logits = logits + rng.normal(0.0, margin_noise, size=num_classes)
-        label = int(np.argmax(logits))
-        onehot = np.zeros(num_classes)
-        onehot[label] = 1.0
-        events.append(StreamEvent(x, onehot, 0, t))
-    return events
+            noise.append(rng.normal(0.0, margin_noise, size=num_classes))
+    pre, _ = MlpModel(spec)._pass(np.reshape(xs, (steps, in_dim)), spec.unpack(theta))
+    logits = pre[-1]
+    if noise:
+        logits = logits + np.array(noise)
+    labels = np.eye(num_classes)[np.argmax(logits, axis=-1)]
+    return [StreamEvent(x, y, 0, t) for t, (x, y) in enumerate(zip(xs, labels))]
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ def count_mlp_passes(monkeypatch):
     calls = {"forward": 0, "passes": 0}
     real_forward, real_pass = MlpModel.forward, MlpModel._pass
 
-    def forward(self, x, theta):
+    def forward(self, x, theta, **kwargs):
         calls["forward"] += 1
-        return real_forward(self, x, theta)
+        return real_forward(self, x, theta, **kwargs)
 
     def layer_pass(self, x, layers):
         calls["passes"] += 1
@@ -133,14 +133,14 @@ def test_held_predicted_belief_keeps_its_bits(kind):
 
 
 @pytest.mark.parametrize("tag", ["lrekf", "lrekf_spherical", "vdekf"])
-def test_prequential_eval_runs_two_mlp_passes_per_event(count_mlp_passes, tag):
-    # one forward for the prediction, one pass for the linearization's
-    # output and Jacobian together
+def test_prequential_eval_runs_one_mlp_pass_per_event(count_mlp_passes, tag):
+    # one forward for the prediction; the linearization's Jacobian reuses
+    # that pass
     model, events = sine_setup()
     params = {"lrekf": PARAMS, "lrekf_spherical": {"rank": 3, "process_noise": 1e-4},
               "vdekf": {"process_noise": 1e-4}}[tag]
     prequential_eval(build_learner(tag, model, params, seed=0), events, ("rmse", "nll"))
-    assert count_mlp_passes == {"forward": len(events), "passes": 2 * len(events)}
+    assert count_mlp_passes == {"forward": len(events), "passes": len(events)}
 
 
 def test_vdekf_builds_two_beliefs_per_event(monkeypatch):
@@ -164,7 +164,7 @@ def test_nlpd_adds_one_batched_pass_per_event(count_mlp_passes):
     model, events = sine_setup()
     learner = build_learner("lrekf", model, PARAMS, seed=0)
     prequential_eval(learner, events, ("rmse", "nll", "nlpd"), nlpd_samples=8)
-    assert count_mlp_passes == {"forward": 2 * len(events), "passes": 3 * len(events)}
+    assert count_mlp_passes == {"forward": 2 * len(events), "passes": 2 * len(events)}
 
 
 def test_categorical_linearization_is_one_pass(count_mlp_passes):
@@ -172,7 +172,28 @@ def test_categorical_linearization_is_one_pass(count_mlp_passes):
     count_mlp_passes.update(forward=0, passes=0)  # the stream's teacher network ran
     model = MlpModel(MlpSpec((3, 6, 3)), CategoricalFamily())
     prequential_eval(build_learner("lrekf", model, PARAMS, seed=0), events, ("nll", "misclass"))
-    assert count_mlp_passes == {"forward": 20, "passes": 40}
+    assert count_mlp_passes == {"forward": 20, "passes": 20}
+
+
+@pytest.mark.parametrize("tag", ["lrekf", "lrekf_spherical", "vdekf"])
+def test_observe_after_x_changed_in_place_linearizes_afresh(count_mlp_passes, tag):
+    # the pass predict() kept is at the old bytes of x; observe() must not
+    # reuse it, and ends where a learner that predicted at the new x ends
+    model, events = sine_setup()
+    params = {"lrekf": PARAMS, "lrekf_spherical": {"rank": 3, "process_noise": 1e-4},
+              "vdekf": {"process_noise": 1e-4}}[tag]
+    changed, reference = (build_learner(tag, model, params, seed=0) for _ in range(2))
+    for ev in events[:5]:
+        x = ev.x.copy()
+        changed.predict(x)
+        x += 0.5
+        reference.predict(x.copy())
+        changed.observe(x, ev.y)
+        reference.observe(x.copy(), ev.y)
+        for key, value in vars(changed.belief).items():
+            np.testing.assert_array_equal(value, vars(reference.belief)[key])
+    # a forward per learner and event, and a fresh pass per changed observe()
+    assert count_mlp_passes == {"forward": 10, "passes": 15}
 
 
 def test_bandit_runs_two_mlp_passes_per_step(count_mlp_passes):

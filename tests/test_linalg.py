@@ -97,6 +97,74 @@ class TestThinSvd:
         np.testing.assert_array_equal(u[0], 0.0)
 
 
+def argsort_thin_svd(w):
+    """thin_svd's Gram route with the stable argsort and the zero-filled
+    factor on every call, the route tied eigenvalues still take."""
+    p, k = w.shape
+    vals, vecs = np.linalg.eigh(w.T @ w)
+    vals = np.maximum(vals, 0.0)
+    order = np.argsort(-vals, kind="stable")
+    s = np.sqrt(vals[order])
+    live = np.count_nonzero(s > linalg.RANK_EPS * s[0])
+    s[live:] = 0.0
+    factor = np.zeros((k, k))
+    factor[:, :live] = vecs[:, order[:live]] / s[:live]
+    factor[:, w[0] @ factor < 0] *= -1.0
+    u = np.matmul(w, factor, out=np.empty((p, k), order="F"))
+    return s, u if (u[0, :live] > 0).all() else fix_column_signs(u)
+
+
+class TestThinSvdWithoutSort:
+    """Distinct Gram eigenvalues skip the sort: the result is the argsort
+    route's bit for bit, ties still go through the sort, and no route
+    divides by zero."""
+
+    @staticmethod
+    def assert_argsort_route(w, monkeypatch, sorts):
+        calls = []
+        real = np.argsort
+        with monkeypatch.context() as m:
+            m.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+            s, u = thin_svd(w)
+        assert len(calls) == sorts
+        s_ref, u_ref = argsort_thin_svd(w)
+        assert s.tobytes() == s_ref.tobytes()
+        assert u.flags.f_contiguous and u.tobytes(order="F") == u_ref.tobytes(order="F")
+
+    @pytest.mark.filterwarnings("error")
+    def test_random_tall_matrices(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            p = int(rng.integers(2, 300))
+            k = int(rng.integers(1, min(p, 32)))
+            w = rng.standard_normal((p, k)) * rng.uniform(0.01, 10.0, k)
+            if trial % 2:
+                w = np.asfortranarray(w)
+            self.assert_argsort_route(w, monkeypatch, sorts=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("zero_columns", [6, 4])
+    def test_zero_factor_has_tied_zero_eigenvalues(self, monkeypatch, zero_columns):
+        # the factor of the first L events is zero: its Gram eigenvalues tie at 0
+        w = np.zeros((40, 6))
+        w[:, zero_columns:] = np.random.default_rng(12).standard_normal((40, 6 - zero_columns))
+        self.assert_argsort_route(w, monkeypatch, sorts=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_three_product(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        w = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 6))
+        # one Gram eigenvalue is clamped to 0 and the rest are distinct, so
+        # the sort is skipped while a dead value takes the zero-filled factor
+        self.assert_argsort_route(w, monkeypatch, sorts=0)
+        assert thin_svd(w)[0][-1] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_column(self, monkeypatch):
+        for w in (np.random.default_rng(14).standard_normal((30, 1)), np.zeros((30, 1))):
+            self.assert_argsort_route(w, monkeypatch, sorts=0)
+
+
 class TestDirectSyevr:
     """thin_svd's Gram eigensolve is np.linalg.eigh bit for bit; scipy's
     eigh (LAPACK dsyevr, a different algorithm) is an independent oracle

@@ -330,6 +330,92 @@ class TestOnePassLinearization:
             linearize(model, np.zeros(3), np.zeros(model.parameter_count))
 
 
+def assert_same_linearization(got, want):
+    for name in ("y_hat", "jacobian", "obs_cov", "whitener"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+class TestKeptPass:
+    """A linearization that reuses the pass a forward call kept equals a
+    fresh one bit for bit, and a pass kept at another x or theta is not
+    reused."""
+
+    CASES = [
+        (MlpSpec((2, 5, 1)), GaussianFamily(0.3)),
+        (MlpSpec((2, 5, 3)), GaussianFamily(0.3)),
+        (MlpSpec((4, 7, 6, 10)), CategoricalFamily()),
+        (MlpSpec((3, 6, 5, 10), activation="relu"), CategoricalFamily()),
+    ]
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        calls = []
+        real = MlpModel._pass
+        monkeypatch.setattr(MlpModel, "_pass", lambda self, *a: calls.append(1) or real(self, *a))
+        return calls
+
+    @pytest.mark.parametrize("spec, family", CASES)
+    def test_linearization_from_a_kept_pass_is_the_fresh_one(self, monkeypatch, spec, family):
+        model = MlpModel(spec, family)
+        rng = np.random.default_rng(8)
+        passes = self.count_passes(monkeypatch)
+        for seed in range(20):
+            x = rng.standard_normal(spec.in_dim)
+            theta = initialize_mean(spec, seed) + 0.1 * rng.standard_normal(spec.parameter_count)
+            keep = {}
+            y = model.forward(x, theta, keep=keep)
+            assert y.tobytes() == model.forward(x, theta).tobytes()
+            passes.clear()
+            got = linearize(model, x, theta, keep)
+            assert passes == []
+            assert_same_linearization(got, linearize(model, x, theta))
+
+    def test_function_model_keeps_nothing(self):
+        model = FunctionModel(lambda x, th: np.array([th @ x]), lambda x, th: x[None, :],
+                              GaussianFamily(0.5), parameter_count=2)
+        x, theta = np.array([0.5, -1.5]), np.array([2.0, 0.25])
+        keep = {}
+        assert model.forward(x, theta, keep=keep) == model.forward(x, theta)
+        assert keep == {}
+        assert_same_linearization(linearize(model, x, theta, keep), linearize(model, x, theta))
+
+    @pytest.mark.parametrize("spec, family", CASES)
+    def test_pass_at_another_x_or_theta_is_not_reused(self, monkeypatch, spec, family):
+        model = MlpModel(spec, family)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(spec.in_dim)
+        theta = initialize_mean(spec, 3)
+        passes = self.count_passes(monkeypatch)
+        keep = {}
+        model.forward(x, theta, keep=keep)
+
+        def assert_fresh(at_x, at_theta):
+            passes.clear()
+            got = linearize(model, at_x, at_theta, keep)
+            assert passes == [1]
+            assert_same_linearization(got, linearize(model, at_x, at_theta))
+
+        assert_fresh(x, theta + 0.25)  # another theta
+        assert_fresh(x, theta.copy())  # an equal theta, but another array
+        x[0] += 0.5  # the very array the pass was kept at, changed in place
+        assert_fresh(x, theta)
+
+    @pytest.mark.parametrize("spec, family", CASES)
+    def test_reuse_reads_the_x_it_is_given(self, spec, family):
+        # the kept input array itself changed after the pass, while the x
+        # handed to the linearization holds the bytes the pass was made at
+        model = MlpModel(spec, family)
+        x = np.random.default_rng(10).standard_normal(spec.in_dim)
+        theta = initialize_mean(spec, 4)
+        at_x = x.copy()
+        keep = {}
+        model.forward(x, theta, keep=keep)
+        x[0] += 0.5
+        assert_same_linearization(linearize(model, at_x, theta, keep),
+                                  linearize(model, at_x, theta))
+
+
 class TestFixedGaussianTerms:
     @pytest.mark.parametrize("variance", [0.25, np.array([[0.5, 0.1], [0.1, 0.3]])])
     def test_terms_match_fresh_factorization_and_are_shared(self, variance):

@@ -358,6 +358,21 @@ def test_gaussian_log_density_stack_equals_single_rows(c):
     np.testing.assert_array_equal(stack, [gaussian_log_density(row, chol) for row in resid])
 
 
+def test_scalar_gaussian_log_density_equals_the_one_by_one_solve():
+    # C = 1 whitens by division; it is the stacked 1 x 1 solve bit for bit
+    rng = np.random.default_rng(15)
+    divisors = [*np.sqrt(rng.lognormal(0.0, 4.0, 18)), 0.05, 1.0, np.sqrt(0.0025)]
+    resid = rng.standard_normal((5000, 1)) * 10.0 ** rng.uniform(-8, 4, (5000, 1))
+    for c in divisors:
+        chol = np.array([[c]])
+        white = np.linalg.solve(chol, resid[..., None])
+        quad = (white.swapaxes(-1, -2) @ white)[..., 0, 0]
+        ref = -0.5 * (np.log(2 * np.pi) + 2.0 * np.sum(np.log(np.diag(chol))) + quad)
+        got = gaussian_log_density(resid, chol)
+        assert got.shape == (5000,) and got.tobytes() == ref.tobytes(), c
+        assert gaussian_log_density(resid[0], chol) == ref[0]
+
+
 def test_categorical_log_prob_per_row_labels_equal_single_rows():
     rng = np.random.default_rng(8)
     probs = softmax(30.0 * rng.standard_normal((100, 5)))

@@ -257,6 +257,27 @@ def test_bandit_reports_only_the_experiment_keys_it_ignores(old, new, problems, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, problem", [
+    ("in_dim = 8", "in_dim = 8\nnum_classes = 7",
+     "stream.num_classes: not read by lrkf bandit; it reads kind and in_dim"),
+    ("seeds = 0 1 2", "seeds = 0 1 2\nmetrics = misclass", f"experiment.metrics: {NOT_READ}"),
+], ids=["num_classes", "misclass"])
+def test_validate_checks_a_bandit_config_as_lrkf_bandit_does(old, new, problem, tmp_path, capsys):
+    # validate once said ok to the first and called misclass a
+    # classification metric, which the bandit never scores
+    path = bandit_config(tmp_path, "out", BANDIT_INI.replace(old, new))
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out == f"{problem}\n"
+    assert main(["bandit", path]) == 1
+    assert capsys.readouterr().err == f"config error: {problem}\n"
+
+
+@pytest.mark.parametrize("name", ["bandit.ini", "sine.ini"])
+def test_validate_says_ok_to_the_shipped_demo_configs(name, capsys):
+    assert main(["validate", str(REPO / "demos/configs" / name)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+
+
 def test_bandit_reward_variance_is_an_unknown_key(tmp_path, capsys):
     path = bandit_config(tmp_path, "out", BANDIT_INI + "reward_variance = 0.005\n")
     assert main(["bandit", path]) == 1

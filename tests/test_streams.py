@@ -161,6 +161,40 @@ class TestCsv:
             load_csv_regression(path, "z")
 
 
+def per_event_classification(steps, in_dim, num_classes, seed, teacher_widths=(20,),
+                             margin_noise=0.0):
+    """The stream with the teacher run on each event alone."""
+    from lrkf.models import MlpModel, MlpSpec, initialize_mean
+
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec((in_dim, *teacher_widths, num_classes))
+    theta = 3.0 * initialize_mean(spec, rng.integers(2**31))
+    events = []
+    for t in range(steps):
+        x = rng.standard_normal(in_dim)
+        logits = MlpModel(spec).logits(x, theta)
+        if margin_noise > 0:
+            logits = logits + rng.normal(0.0, margin_noise, size=num_classes)
+        events.append((x, np.eye(num_classes)[int(np.argmax(logits))]))
+    return events
+
+
+@pytest.mark.parametrize("margin_noise", [0.0, 0.3, 2.0])
+@pytest.mark.parametrize("steps, in_dim, num_classes, widths", [
+    (0, 3, 2, (20,)), (1, 1, 2, (20,)), (60, 8, 5, (20,)), (200, 4, 10, (6, 7)),
+])
+def test_synthetic_classification_matches_a_teacher_per_event(
+    steps, in_dim, num_classes, widths, margin_noise
+):
+    for seed in (0, 5):
+        got = gen_synthetic_classification(steps, in_dim, num_classes, seed, widths, margin_noise)
+        want = per_event_classification(steps, in_dim, num_classes, seed, widths, margin_noise)
+        assert len(got) == len(want) == steps
+        for t, (ev, (x, y)) in enumerate(zip(got, want)):
+            assert (ev.t, ev.task_id) == (t, 0)
+            assert ev.x.tobytes() == x.tobytes() and ev.y.tobytes() == y.tobytes()
+
+
 def test_multipass_reshuffles_with_epoch_seeds():
     events = [StreamEvent(np.array([float(i)]), np.array([0.0]), 0, i) for i in range(6)]
     out = multipass(events, passes=3, seed=5)

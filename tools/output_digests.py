@@ -2,10 +2,12 @@
 
     python3 tools/output_digests.py
 
-Runs ``demos/configs/sine.ini`` as shipped (``lrekf``) and with
-``name = lrekf_spherical``, ``vdekf`` and ``fdekf``, and
-``demos/configs/bandit.ini``, each at its shipped length and into its own
-temporary directory, and prints one ``sha256 path`` line per CSV written
+Runs ``demos/configs/sine.ini`` as shipped (``lrekf``), with
+``name = lrekf_spherical``, ``vdekf`` and ``fdekf``, and under ``lrekf``
+with ``metrics = rmse nll nlpd``; ``demos/configs/bandit.ini``; and the
+benchmark's categorical ``perfbench/configs/wide.ini`` (read, not
+changed). Each runs at its shipped length and into its own temporary
+directory, and the script prints one ``sha256 path`` line per CSV written
 (``path`` relative to that run's output directory, prefixed by the run's
 name). BLAS is pinned to one thread before numpy loads, because some
 products round differently with more threads.
@@ -40,8 +42,11 @@ def runs():
     sine = harness.parse_config(str(ROOT / "demos/configs/sine.ini"))
     for method in SINE_METHODS:
         yield f"sine-{method}", harness.run_experiment, replace(sine, method=method)
+    yield "sine-lrekf-nlpd", harness.run_experiment, replace(sine, metrics=("rmse", "nll", "nlpd"))
     bandit = harness.parse_config(str(ROOT / "demos/configs/bandit.ini"))
     yield "bandit", harness.run_bandit_experiment, bandit
+    wide = harness.parse_config(str(ROOT / "perfbench/configs/wide.ini"))
+    yield "wide", harness.run_experiment, wide
 
 
 def main():

@@ -32,7 +32,7 @@ import numpy as np
 
 from .belief import DenseBelief, DlrBelief
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise, sym_pinv, symmetrize, woodbury_mean
+from .linalg import chol_or_raise, sym_pinv, symmetrize, thin_svd, woodbury_mean
 from .models import linearize, softmax
 from .spherical import truncate
 
@@ -311,4 +311,4 @@ def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank):
 
     mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)
     w_ext = np.hstack([w_prior, lin.whitened_jacobian_t])
-    return truncate(mu, eta, w_ext, belief_pred.basis, rank, "iterated_lowrank_update")
+    return truncate(mu, eta, *thin_svd(w_ext), belief_pred.basis, rank, "iterated_lowrank_update")

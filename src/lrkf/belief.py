@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise
+from .linalg import chol_or_raise, thin_svd
 
 # Largest P for which dense P x P reconstructions are allowed: the dense
 # conversions and the dense sampling oracle. No production path uses them.
@@ -250,4 +250,4 @@ def load_belief(path):
         return DlrBelief(mean, diag, np.asfortranarray(w))
     from .spherical import truncate  # deferred: avoids import cycle
 
-    return truncate(mean, diag[0], w, np.zeros((p, 0)), rank, "load_belief")
+    return truncate(mean, diag[0], *thin_svd(w), np.zeros((p, 0)), rank, "load_belief")

@@ -73,8 +73,10 @@ def parse_config(path):
     )
 
 
-def validate_config(cfg):
-    """Collect every violation; empty list means the config is runnable."""
+def validate_config(cfg, verb=None):
+    """Collect every violation; empty list means the config is runnable.
+    ``lrkf run`` and ``lrkf tune`` read no ``[bandit]`` key, so under either
+    ``verb`` each one set is a problem."""
     problems = []
     if cfg.method not in REGISTRY:
         problems.append("method.name: required" if cfg.method is None else
@@ -93,6 +95,8 @@ def validate_config(cfg):
         ("bandit", cfg.bandit, None),
     ):
         problems.extend(schema.check(section, values, reader))
+    problems.extend(f"bandit.{key}: not read by lrkf {verb}; use lrkf bandit"
+                    for key in cfg.bandit if verb)
     # the schema checks each key alone; these rules tie keys together
     if cfg.passes > 1 and kind != schema.CSV:
         problems.append(
@@ -208,7 +212,7 @@ def run_experiment(cfg):
     seeds completed. Worker count comes from the LRKF_WORKERS env var;
     results are merged in seed order either way.
     """
-    problems = validate_config(cfg)
+    problems = validate_config(cfg, "run")
     if problems:
         raise ConfigError(problems)
     os.makedirs(cfg.output, exist_ok=True)
@@ -273,7 +277,7 @@ def tune_experiment(cfg):
     prefix when ``objective = validation_nll``. The final test stream is
     never touched here.
     """
-    problems = validate_config(cfg)
+    problems = validate_config(cfg, "tune")
     if problems:
         raise ConfigError(problems)
     t = {**defaults("tune"), **cfg.tune}

@@ -161,16 +161,12 @@ class DenseFilterLearner(_BayesianLearner):
         self._commit(baselines.iterated_ekf_update(pred, self.model, x, y, self.iterated))
 
 
-class IteratedSphericalLearner(_BayesianLearner):
+class IteratedSphericalLearner(SphericalFilterLearner):
     """Spherical low-rank filter with iterated line-searched updates."""
 
     def __init__(self, model, cfg, seed, iterated):
-        super().__init__(model, cfg)
+        super().__init__(model, cfg, seed)
         self.iterated = iterated
-        self.belief = spherical.initial_belief(model, cfg, seed)
-
-    def _predict_belief(self, belief):
-        return spherical.predict(belief, self.cfg)
 
     def observe(self, x, y):
         pred = self.predicted_belief()

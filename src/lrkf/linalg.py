@@ -2,7 +2,8 @@
 
 Everything here works on plain float64 ndarrays and avoids forming any
 P x P matrix. :func:`woodbury_mean` is the one mean solve of every
-low-rank update and of inflation, and :func:`sym_pinv` the one
+low-rank update but the spherical SVD one, whose mean is read off its
+:func:`thin_svd`, and of inflation, and :func:`sym_pinv` the one
 pseudo-inverse of the gain-form filters. Both eigendecompositions, of
 :func:`thin_svd`'s Gram matrix and of :func:`sym_pinv`'s input, are
 numpy's ``eigh``, so this module needs no scipy. The deterministic sign

@@ -4,19 +4,22 @@ Restricting the diagonal part of the precision to ``eta * I`` buys an O(P)
 predict step: the basis is untouched and only ``eta`` and the singular
 values move, elementwise. The update step offers two flavors:
 
-* :func:`update_svd` mirrors the diagonal filter, with a thin SVD of the
-  extended factor, O(P (L + C)^2).
+* :func:`update_svd` mirrors the diagonal filter, with one thin SVD of the
+  extended factor, O(P (L + C)^2): the posterior precision is diagonal in
+  its left singular basis, so the SVD gives the mean and, truncated, the basis.
 * :func:`update_orth` replaces the SVD by orthogonal projection of each
   whitened gradient column onto the complement of the current basis,
   swapping out the weakest retained direction when the newcomer carries
-  more information. O(P L C), less accurate.
+  more information. O(P L C), less accurate. Its mean is
+  :func:`~lrkf.linalg.woodbury_mean` with the scalar ``eta`` as diagonal.
 
-Both move the mean by :func:`~lrkf.linalg.woodbury_mean` with the scalar
-``eta`` as its diagonal. :func:`truncate` also ends the iterated update.
+:func:`truncate` also ends the iterated update and loads a checkpoint.
 
 Because any data-driven change to the diagonal would break sphericity,
 ``eta`` evolves only through the drift dynamics.
 """
+
+from itertools import chain
 
 import numpy as np
 
@@ -30,34 +33,27 @@ def complete_basis(u_part, preferred, rank):
     """Extend orthonormal columns ``u_part`` to exactly ``rank`` columns.
 
     Filler directions are drawn first from ``preferred`` (e.g. the
-    previous basis), then from identity columns, each orthogonalized
-    against what is already kept. Deterministic. Returns a new C-ordered
+    previous basis), then from identity columns made one at a time (no
+    P x P array), each orthogonalized against the kept block ``K`` by two
+    passes of ``v -= K (K^T v)``. Deterministic. Returns a new C-ordered
     array: a copy of ``u_part`` when it already has ``rank`` columns.
     """
-    if u_part.shape[1] >= rank:
-        return np.array(u_part, order="C")
-    p = u_part.shape[0]
-    kept = [u_part[:, j] for j in range(u_part.shape[1])]
-    candidates = [preferred[:, j] for j in range(preferred.shape[1])]
-    idx = 0
-    while len(kept) < rank:
-        if candidates:
-            v = candidates.pop(0)
-        else:
-            if idx >= p:
-                raise NumericalDegeneracyError("cannot complete orthonormal basis")
-            v = np.zeros(p)
-            v[idx] = 1.0
-            idx += 1
-        for k in kept:
-            v = v - k * (k @ v)
-        # second pass keeps orthogonality tight after heavy cancellation
-        for k in kept:
-            v = v - k * (k @ v)
+    p, n = u_part.shape
+    out = np.zeros((p, max(n, rank)))
+    out[:, :n] = u_part
+    candidates = chain(preferred.T, (np.eye(1, p, j)[0] for j in range(p)))
+    while n < rank:
+        v = next(candidates, None)
+        if v is None:
+            raise NumericalDegeneracyError("cannot complete orthonormal basis")
+        kept = out[:, :n]
+        v = v - kept @ (kept.T @ v)
+        v -= kept @ (kept.T @ v)  # second pass keeps orthogonality tight after heavy cancellation
         norm = np.linalg.norm(v)
         if norm > 1e-8:
-            kept.append(v / norm)
-    return np.column_stack(kept)
+            out[:, n] = v / norm
+            n += 1
+    return out
 
 
 def initial_belief(model, cfg, rng_seed):
@@ -68,8 +64,7 @@ def initial_belief(model, cfg, rng_seed):
     orthonormality invariant satisfied.
     """
     mean = initialize_mean(model.spec, rng_seed)
-    p = mean.shape[0]
-    basis = np.eye(p)[:, : cfg.rank]
+    basis = np.eye(mean.shape[0], cfg.rank)
     return SphericalBelief(mean, cfg.dynamics.initial_precision, basis, np.zeros(cfg.rank))
 
 
@@ -94,37 +89,43 @@ def predict(belief, cfg):
     return SphericalBelief(mean, eta, belief.basis, np.sqrt(lam2_new))
 
 
-def _posterior_mean(belief_pred, lin, y):
-    """Posterior mean, and the extended factor (scaled basis with the
-    whitened Jacobian columns appended) it was solved against."""
+def _extended_factor(belief_pred, lin):
+    """The scaled basis with the whitened Jacobian columns appended."""
     (p, rank), jac_t = belief_pred.basis.shape, lin.whitened_jacobian_t
     w_ext = np.empty((p, rank + jac_t.shape[1]))  # C order, as np.hstack built it
     np.multiply(belief_pred.basis, belief_pred.singular_values, out=w_ext[:, :rank])
     w_ext[:, rank:] = jac_t
-    rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
-    return woodbury_mean(belief_pred.mean, belief_pred.eta, w_ext, rhs), w_ext
+    return w_ext
 
 
-def truncate(mean, eta, w_ext, preferred, rank, what):
-    """Spherical belief from the top-``rank`` singular pairs of ``w_ext``;
-    zero directions are refilled from ``preferred``. A basis that fails the
-    orthonormality check raises NumericalDegeneracyError naming ``what``."""
-    s, u = thin_svd(w_ext)
-    lam = s[:rank]
-    live = lam > 0
-    # complete_basis copies its input: a view serves when every value is live
-    basis = complete_basis(u[:, :rank] if live.all() else u[:, :rank][:, live], preferred, rank)
+def _belief(mean, eta, basis, lam, what):
+    """SphericalBelief; one whose basis fails the orthonormality check
+    raises NumericalDegeneracyError naming ``what``."""
     try:
         return SphericalBelief(mean, eta, basis, lam)
     except ValueError as exc:
         raise NumericalDegeneracyError(f"spherical {what}: {exc}") from exc
 
 
+def truncate(mean, eta, s, u, preferred, rank, what):
+    """Spherical belief from the top-``rank`` pairs ``(s, u)`` of a
+    :func:`~lrkf.linalg.thin_svd`; zero directions (a suffix, as its dead
+    columns are) are refilled from ``preferred``."""
+    lam = s[:rank]
+    basis = complete_basis(u[:, : np.count_nonzero(lam)], preferred, rank)
+    return _belief(mean, eta, basis, lam, what)
+
+
 def update_svd(belief_pred, lin, y, cfg):
-    """Full-SVD update: new basis from the top-L singular pairs of the
-    extended factor. ``eta`` is left untouched by the data."""
-    mean, w_ext = _posterior_mean(belief_pred, lin, y)
-    return truncate(mean, belief_pred.eta, w_ext, belief_pred.basis, cfg.rank, "update_svd")
+    """Full-SVD update. With ``W_ext = U S V^T`` the mean moves by
+    ``(eta I + U S^2 U^T)^-1 rhs = (rhs - U (s^2 / (eta + s^2) * U^T rhs)) / eta``
+    (a dead column, s = 0, adds nothing), ``rhs = J^T R^-1 (y - y_hat)``; the
+    basis is the top-L singular pairs. ``eta`` is left untouched by the data."""
+    rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
+    s, u = thin_svd(_extended_factor(belief_pred, lin))
+    eta, s2 = belief_pred.eta, s * s
+    mean = belief_pred.mean + (rhs - u @ (s2 / (eta + s2) * (u.T @ rhs))) / eta
+    return truncate(mean, eta, s, u, belief_pred.basis, cfg.rank, "update_svd")
 
 
 def svd_orth(lam, basis, grads, rng_seed):
@@ -142,13 +143,8 @@ def svd_orth(lam, basis, grads, rng_seed):
     basis = np.array(basis, dtype=float, copy=True)
     rng = np.random.default_rng(rng_seed)
     for j in rng.permutation(grads.shape[1]):
-        g = grads[:, j]
-        active = lam > 0
-        if np.any(active):
-            ua = basis[:, active]
-            v = g - ua @ (ua.T @ g)
-        else:
-            v = g
+        g, ua = grads[:, j], basis[:, lam > 0]
+        v = g - ua @ (ua.T @ g)  # g itself, bit for bit, with no active column
         norm = np.linalg.norm(v)
         slot = int(np.argmin(lam))
         if norm > lam[slot]:
@@ -164,9 +160,9 @@ def svd_orth(lam, basis, grads, rng_seed):
 
 
 def update_orth(belief_pred, lin, y, cfg, rng_seed):
-    """Same mean update as :func:`update_svd`; basis via :func:`svd_orth`."""
-    mean, _ = _posterior_mean(belief_pred, lin, y)
-    lam, basis = svd_orth(
-        belief_pred.singular_values, belief_pred.basis, lin.whitened_jacobian_t, rng_seed
-    )
-    return SphericalBelief(mean, belief_pred.eta, basis, lam)
+    """Mean by the Woodbury solve on the extended factor; basis via :func:`svd_orth`."""
+    rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
+    mean = woodbury_mean(belief_pred.mean, belief_pred.eta, _extended_factor(belief_pred, lin), rhs)
+    lam, basis = svd_orth(belief_pred.singular_values, belief_pred.basis,
+                          lin.whitened_jacobian_t, rng_seed)
+    return _belief(mean, belief_pred.eta, basis, lam, "update_orth")

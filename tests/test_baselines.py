@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lrkf import baselines, spherical
+from lrkf import baselines
 from lrkf.baselines import (
     Adam,
     DenseBelief,
@@ -421,8 +421,8 @@ class TestIteratedLowRank:
 
     def test_one_truncation_svd_after_the_passes(self, monkeypatch):
         calls = []
-        real = spherical.thin_svd
-        monkeypatch.setattr(spherical, "thin_svd", lambda w: calls.append(w.shape) or real(w))
+        real = baselines.thin_svd
+        monkeypatch.setattr(baselines, "thin_svd", lambda w: calls.append(w.shape) or real(w))
         model = linear_model(4, 0.8)
         b = random_spherical(4, 2, seed=18)
         iterated_lowrank_update(b, model, np.ones(4), np.array([0.7]), IteratedConfig(3), rank=2)

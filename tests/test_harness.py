@@ -547,6 +547,25 @@ class TestCli:
         assert main(["run", good]) == 0
         assert (tmp_path / "o" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "tune"])
+    def test_run_and_tune_reject_a_bandit_section(self, verb, tmp_path, capsys):
+        # each [bandit] key used to be ignored: sine.ini with steps = 10 ran
+        # as shipped, and so did bandit.ini under lrkf run
+        text = BASIC.format(out=tmp_path / "o") + "\n[bandit]\nsteps = 10\n"
+        assert main([verb, write_config(tmp_path / "c.ini", text)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: bandit.steps: not read by lrkf {verb}; use lrkf bandit\n")
+        bandit = (REPO / "demos/configs/bandit.ini").read_text().replace(
+            "output = out/bandit", f"output = {tmp_path / 'o'}")
+        assert main([verb, write_config(tmp_path / "b.ini", bandit)]) == 1
+        err = capsys.readouterr().err
+        for key in ("actions", "steps", "policy", "epsilon"):
+            assert f"config error: bandit.{key}: not read by lrkf {verb}; use lrkf bandit\n" in err
+        assert not (tmp_path / "o").exists()
+        path = str(REPO / "demos/configs/bandit.ini")
+        assert main(["validate", path]) == 0
+        assert validate_config(parse_config(path)) == []
+
     def test_bandit_verb(self, tmp_path, capsys):
         text = BANDIT.format(out=tmp_path / "o")
         cfgfile = write_config(tmp_path / "b.ini", text)

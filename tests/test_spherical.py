@@ -1,12 +1,19 @@
+import time
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrkf import harness, spherical
 from lrkf.belief import SphericalBelief, spherical_to_dense
 from lrkf.diagonal import DynamicsConfig, LowRankConfig
 from lrkf.diagonal import predict as dlr_predict
 from lrkf.belief import DlrBelief, dlr_to_dense
+from lrkf.exceptions import NumericalDegeneracyError
+from lrkf.linalg import thin_svd, woodbury_mean
 from lrkf.models import Linearization
 from lrkf.spherical import (
     complete_basis,
@@ -18,6 +25,8 @@ from lrkf.spherical import (
 )
 
 from conftest import random_spherical
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def orthonormality_error(basis):
@@ -148,6 +157,38 @@ class TestUpdateSvd:
         assert orthonormality_error(out.basis) <= 1e-8
 
 
+    def test_eigen_form_mean_matches_woodbury_along_sine_trajectory(self, monkeypatch):
+        # sine.ini seed 0, all 1,250 events: at every step the mean step read
+        # off the SVD agrees with the Woodbury solve on the same extended factor
+        # (worst 6e-11 relative), and the live columns of U are orthonormal over
+        # all K, not only the L kept, since the mean reads them all (worst
+        # 1.2e-11; dead columns, s = 0, are zero)
+        cfg = harness.parse_config(str(REPO / "demos/configs/sine.ini"))
+        events, in_dim, out_dim = harness.build_stream(cfg, 0)
+        model = harness.build_model(cfg, in_dim, out_dim)
+        learner = harness.build_learner("lrekf_spherical", model, cfg.method_params, 0)
+        steps = []
+        real = spherical.update_svd
+        monkeypatch.setattr(
+            spherical, "update_svd", lambda *args: steps.append((*args, real(*args))) or steps[-1][-1]
+        )
+        mean_err = orth_err = 0.0
+        for ev in events:
+            learner.predict(ev.x)
+            learner.observe(ev.x, ev.y)
+            pred, lin, y, _, out = steps[-1]
+            w_ext = np.hstack([pred.basis * pred.singular_values, lin.whitened_jacobian_t])
+            rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
+            step = woodbury_mean(pred.mean, pred.eta, w_ext, rhs) - pred.mean
+            err = np.linalg.norm(out.mean - pred.mean - step) / np.linalg.norm(step)
+            mean_err = max(mean_err, err)
+            s, u = thin_svd(w_ext)
+            orth_err = max(orth_err, np.abs(u.T @ u - np.diag(s > 0)).max())
+        assert len(steps) == len(events)
+        assert mean_err <= 1e-9
+        assert orth_err <= 1e-10
+
+
 class TestSvdOrth:
     def test_gradient_in_span_changes_nothing(self):
         b = random_spherical(5, 2, seed=7)
@@ -233,6 +274,15 @@ class TestUpdateOrth:
         assert np.max(np.abs(pa - po)) < 1e-8
         assert np.max(np.abs(a.mean - o.mean)) < 1e-12
 
+    def test_lost_orthonormality_is_a_numerical_degeneracy(self, monkeypatch):
+        # a basis that fails SphericalBelief's check fails the step, so the
+        # harness records the seed as failed instead of crashing
+        b = random_spherical(5, 2, seed=11)
+        lin = Linearization(np.zeros(1), np.ones((1, 5)), np.eye(1), np.eye(1))
+        monkeypatch.setattr(spherical, "svd_orth", lambda lam, basis, *_: (lam, basis + 1e-6))
+        with pytest.raises(NumericalDegeneracyError, match="spherical update_orth: basis"):
+            update_orth(b, lin, np.array([0.3]), LowRankConfig(rank=2), rng_seed=0)
+
     def test_long_run_orthonormality(self):
         rng = np.random.default_rng(5)
         b = random_spherical(10, 3, seed=14)
@@ -261,6 +311,24 @@ def test_complete_basis_fills_deterministically():
     assert orthonormality_error(filled) <= 1e-12
     again = complete_basis(u, np.zeros((5, 0)), 3)
     assert np.array_equal(filled, again)
+
+
+def test_complete_basis_at_large_p_builds_no_p_by_p_array():
+    p = 200_000
+    u = np.random.default_rng(4).standard_normal((p, 1))
+    u /= np.linalg.norm(u)
+    tracemalloc.start()
+    start = time.perf_counter()
+    filled = complete_basis(u, np.zeros((p, 0)), 4)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 20 * p * 8  # a P x P array would take 3.2e11 bytes
+    assert elapsed < 1.0
+    assert filled.shape == (p, 4)
+    assert np.array_equal(filled[:, 0], u[:, 0])
+    assert orthonormality_error(filled) <= 1e-12
+    assert np.array_equal(filled, complete_basis(u, np.zeros((p, 0)), 4))
 
 
 def test_initial_belief_shape():

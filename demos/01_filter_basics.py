@@ -8,8 +8,8 @@ and, when matplotlib is present, saves rank_sweep.png.
 
 import numpy as np
 
-from lrkf.baselines import DenseBelief, dense_update, dense_predict
-from lrkf.belief import DlrBelief, dlr_to_dense
+from lrkf.baselines import dense_update, dense_predict
+from lrkf.belief import DenseCovBelief, DlrBelief, dlr_to_dense
 from lrkf.diagonal import DynamicsConfig, LowRankConfig, step
 from lrkf.models import GaussianFamily, MlpModel, MlpSpec, initialize_mean, linearize
 
@@ -29,9 +29,9 @@ def make_stream(n):
 xs, ys = make_stream(400)
 dyn = DynamicsConfig(gamma=1.0, process_noise=1e-4, initial_precision=1.0)
 
-# dense EKF reference
+# dense EKF reference, carried on the covariance
 theta0 = initialize_mean(model.spec, 7)
-ref = DenseBelief(theta0, np.eye(P))
+ref = DenseCovBelief(theta0, np.eye(P))
 ref_errs = []
 for x, y in zip(xs, ys):
     pred = dense_predict(ref, dyn)
@@ -48,12 +48,11 @@ for rank in (0, 1, 2, 5, 10, P):
     for x, y in zip(xs, ys):
         belief, y_hat = step(belief, x, y, model, cfg)
         errs.append((y_hat[0] - y[0]) ** 2)
-    gap = np.linalg.norm(dlr_to_dense(belief).precision - ref.precision) / np.linalg.norm(
-        ref.precision
-    )
+    cov = np.linalg.inv(dlr_to_dense(belief).precision)
+    gap = np.linalg.norm(cov - ref.cov) / np.linalg.norm(ref.cov)
     results[rank] = (np.sqrt(np.mean(errs[-100:])), gap)
     print(f"rank {rank:3d}: trailing RMSE {results[rank][0]:.4f}   "
-          f"precision gap to dense EKF {gap:.2e}")
+          f"covariance gap to dense EKF {gap:.2e}")
 
 print("\nrank P reproduces the dense EKF; rank 0 is the variational diagonal EKF.")
 
@@ -72,7 +71,7 @@ try:
     ax[0].legend()
     ax[1].semilogy(ranks, [max(results[r][1], 1e-17) for r in ranks], "o-")
     ax[1].set_xlabel("rank")
-    ax[1].set_ylabel("relative precision gap")
+    ax[1].set_ylabel("relative covariance gap")
     fig.tight_layout()
     fig.savefig("rank_sweep.png", dpi=120)
     print("wrote rank_sweep.png")

@@ -1,8 +1,8 @@
 """Reference filters and optimizers the low-rank filter is compared against.
 
-* :func:`fcekf_step` is the full-covariance extended Kalman filter, exact
-  up to linearization, O(P^3) per step. It doubles as the dense oracle in
-  tests.
+* :func:`fcekf_step` is the full-covariance extended Kalman filter on a
+  :class:`~lrkf.belief.DenseCovBelief`, exact up to linearization, with no
+  matrix inverse. It doubles as the dense oracle in tests.
 * :func:`fdekf_step` and :func:`vdekf_step` keep only a diagonal: each
   conditions the belief of :func:`diagonal_predict` on one linearization.
   VDEKF matches the diagonal of the posterior precision, FDEKF
@@ -19,10 +19,10 @@
 
 Every update checks its innovation with ``Linearization.innovation``; the
 iterated low-rank update steps by :func:`~lrkf.linalg.woodbury_mean` and
-ends in :func:`~lrkf.spherical.truncate`. The FCEKF Cholesky solve and the
-gain form of the diagonal EKFs and the iterated EKF, whose pseudo-inverse
-is :func:`~lrkf.linalg.sym_pinv`, stay separate as references for that
-core.
+ends in :func:`~lrkf.spherical.truncate`. The dense EKFs share one gain
+``K = Sigma H^T S^+`` and posterior; they and the diagonal EKFs, all in
+gain form with the pseudo-inverse :func:`~lrkf.linalg.sym_pinv`, stay
+separate as references for that core.
 """
 
 from collections import deque
@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import DenseBelief, DlrBelief
+from .belief import DenseCovBelief, DlrBelief
 from .exceptions import NumericalDegeneracyError
 from .linalg import chol_or_raise, sym_pinv, symmetrize, thin_svd, woodbury_mean
 from .models import linearize, softmax
-from .spherical import truncate
+from .spherical import extended_factor, truncate
 
 
 @dataclass(frozen=True)
@@ -54,30 +54,30 @@ class DiagonalBelief(DlrBelief):
 # ---------------------------------------------------------------------------
 
 def dense_predict(belief, dyn):
-    """Sigma' = gamma^2 Sigma + q I, carried on the stored precision."""
-    g, q = dyn.gamma, dyn.process_noise
-    mean = g * belief.mean
-    if q == 0.0:
-        return DenseBelief(mean, belief.precision / (g * g))
-    cov = np.linalg.inv(belief.precision)
-    prec = np.linalg.inv(symmetrize(g * g * cov + q * np.eye(belief.dim)))
-    return DenseBelief(mean, symmetrize(prec))
+    """Sigma' = gamma^2 Sigma + q I."""
+    cov = dyn.gamma**2 * belief.cov
+    cov.flat[:: cov.shape[0] + 1] += dyn.process_noise
+    return DenseCovBelief(dyn.gamma * belief.mean, cov)
+
+
+def _dense_gain(cov, lin):
+    """``H Sigma`` and the gain ``K^T = S^+ H Sigma``, ``S = H Sigma H^T + R``."""
+    h_cov = lin.jacobian @ cov
+    return h_cov, sym_pinv(symmetrize(h_cov @ lin.jacobian.T + lin.obs_cov)) @ h_cov
+
+
+def _dense_posterior(mean, cov, h_cov, gain_t):
+    """Sigma* = Sigma - (H Sigma)^T K^T, symmetrized and checked positive definite."""
+    cov = symmetrize(cov - h_cov.T @ gain_t)
+    chol_or_raise(cov, "posterior covariance")
+    return DenseCovBelief(mean, cov)
 
 
 def dense_update(belief_pred, lin, y):
-    """Precision += H^T R^-1 H; mean += Sigma* H^T R^-1 e."""
+    """mean += K e; Sigma* = Sigma - K H Sigma."""
     innov = lin.innovation(y)
-    wh = lin.whitened_jacobian_t
-    prec = symmetrize(belief_pred.precision + wh @ wh.T)
-    chol = chol_or_raise(prec, "posterior precision")
-    gain_rhs = lin.jacobian.T @ lin.apply_r_inv(innov)
-    # fcekf is the one method that loads scipy, here on first use, to keep
-    # the bits of its Cholesky solve; the covariance form (ROADMAP item 2)
-    # drops this import.
-    import scipy.linalg
-
-    mean = belief_pred.mean + scipy.linalg.cho_solve((chol, True), gain_rhs)
-    return DenseBelief(mean, prec)
+    h_cov, gain_t = _dense_gain(belief_pred.cov, lin)
+    return _dense_posterior(belief_pred.mean + innov @ gain_t, belief_pred.cov, h_cov, gain_t)
 
 
 def fcekf_step(belief, model, x, y, dyn):
@@ -266,27 +266,21 @@ def _iterate(model, x, y, mu_pred, prior_energy, step, icfg):
 def iterated_ekf_update(belief_pred, model, x, y, icfg):
     """Iterated EKF update: relinearize, step, line-search, repeat.
 
-    The energy being decreased is the whitened residual norm
-    ``0.5 (||A (y - h(mu))||^2 + ||S^{-T/2} (mu_pred - mu)||^2)`` where the
-    second factor is the upper Cholesky factor of the prior precision.
+    The energy being decreased is ``0.5 (||A (y - h(mu))||^2 +
+    ||L^-1 (mu_pred - mu)||^2)``, with ``L L^T`` the prior covariance. The
+    posterior covariance is :func:`dense_update`'s at the last linearization.
     """
-    prec_chol = chol_or_raise(belief_pred.precision, "prior precision").T
-    cov = np.linalg.inv(belief_pred.precision)
+    chol = chol_or_raise(belief_pred.cov, "prior covariance")
 
     def prior_energy(d):
-        r_prior = prec_chol @ d
+        r_prior = np.linalg.solve(chol, d)
         return r_prior @ r_prior
 
     def step(lin, innov, d):
-        jac = lin.jacobian
-        s = jac @ cov @ jac.T + lin.obs_cov
-        gain = cov @ jac.T @ sym_pinv(symmetrize(s))
-        return d + gain @ innov
+        return d + innov @ _dense_gain(belief_pred.cov, lin)[1]
 
     mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)
-    wh = lin.whitened_jacobian_t
-    prec = symmetrize(belief_pred.precision + wh @ wh.T)
-    return DenseBelief(mu, prec)
+    return _dense_posterior(mu, belief_pred.cov, *_dense_gain(belief_pred.cov, lin))
 
 
 def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank):
@@ -306,9 +300,9 @@ def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank):
         return eta * (d @ d) + np.sum((w_prior.T @ d) ** 2)
 
     def step(lin, innov, d):
-        w_ext = np.hstack([w_prior, lin.whitened_jacobian_t])
+        w_ext = extended_factor(belief_pred, lin)
         return woodbury_mean(d, eta, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
 
     mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)
-    w_ext = np.hstack([w_prior, lin.whitened_jacobian_t])
+    w_ext = extended_factor(belief_pred, lin)
     return truncate(mu, eta, *thin_svd(w_ext), belief_pred.basis, rank, "iterated_lowrank_update")

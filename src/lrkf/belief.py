@@ -1,13 +1,14 @@
 """Gaussian belief representations over model parameters.
 
-Three parameterizations of ``N(mean, precision^-1)``:
+Three parameterizations of ``N(mean, precision^-1)``, and one of ``N(mean, cov)``:
 
 * :class:`DlrBelief` stores the precision as ``diag(d) + W W^T`` with a
   P-vector ``d`` and a P x L factor ``W``. Memory is O(P L).
 * :class:`SphericalBelief` restricts the diagonal part to ``eta * I`` and
   keeps the factor in factored form ``U diag(lam)`` with orthonormal ``U``.
-* :class:`DenseBelief` stores the full P x P precision. It exists as a
-  small-P reference for tests and for the full-covariance baseline.
+* :class:`DenseBelief` stores the full P x P precision, as the small-P
+  oracle :func:`dlr_to_dense` returns it. :class:`DenseCovBelief` stores
+  the full P x P covariance: the state of the full-covariance EKF baselines.
 
 Beliefs are immutable snapshots: every filter operation returns a new
 instance, so they are safe to share between threads.
@@ -137,9 +138,13 @@ class DenseBelief:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", prec)
 
-    @property
-    def dim(self):
-        return self.mean.shape[0]
+
+@dataclass(frozen=True)
+class DenseCovBelief:
+    """Gaussian with an explicit symmetric positive-definite covariance ``cov``."""
+
+    mean: np.ndarray
+    cov: np.ndarray
 
 
 def _dlr_parts(belief):

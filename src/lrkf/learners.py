@@ -144,8 +144,8 @@ class DenseFilterLearner(_BayesianLearner):
         super().__init__(model, cfg)
         self.iterated = iterated
         mean = initialize_mean(model.spec, seed)
-        prec = cfg.dynamics.initial_precision * np.eye(mean.shape[0])
-        self.belief = baselines.DenseBelief(mean, prec)
+        cov = np.eye(mean.size) / cfg.dynamics.initial_precision
+        self.belief = baselines.DenseCovBelief(mean, cov)
 
     def _predict_belief(self, belief):
         return baselines.dense_predict(belief, self.cfg.dynamics)

@@ -89,7 +89,7 @@ def predict(belief, cfg):
     return SphericalBelief(mean, eta, belief.basis, np.sqrt(lam2_new))
 
 
-def _extended_factor(belief_pred, lin):
+def extended_factor(belief_pred, lin):
     """The scaled basis with the whitened Jacobian columns appended."""
     (p, rank), jac_t = belief_pred.basis.shape, lin.whitened_jacobian_t
     w_ext = np.empty((p, rank + jac_t.shape[1]))  # C order, as np.hstack built it
@@ -122,7 +122,7 @@ def update_svd(belief_pred, lin, y, cfg):
     (a dead column, s = 0, adds nothing), ``rhs = J^T R^-1 (y - y_hat)``; the
     basis is the top-L singular pairs. ``eta`` is left untouched by the data."""
     rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
-    s, u = thin_svd(_extended_factor(belief_pred, lin))
+    s, u = thin_svd(extended_factor(belief_pred, lin))
     eta, s2 = belief_pred.eta, s * s
     mean = belief_pred.mean + (rhs - u @ (s2 / (eta + s2) * (u.T @ rhs))) / eta
     return truncate(mean, eta, s, u, belief_pred.basis, cfg.rank, "update_svd")
@@ -132,9 +132,9 @@ def svd_orth(lam, basis, grads, rng_seed):
     """Projection-based replacement for the truncated SVD.
 
     Visits the columns of ``grads``, the whitened transposed Jacobian
-    (``Linearization.whitened_jacobian_t``, P x C), in a seeded
-    random order; each is projected onto the complement of the active
-    basis (columns whose singular value is > 0) and replaces the
+    (``Linearization.whitened_jacobian_t``, P x C), in a seeded random
+    order; each is projected (two passes) onto the complement of the
+    active basis (columns whose singular value is > 0) and replaces the
     weakest slot when its residual norm is strictly larger than the
     current minimum singular value. Returns (lam, basis) sorted
     non-increasing; the basis stays orthonormal.
@@ -145,6 +145,7 @@ def svd_orth(lam, basis, grads, rng_seed):
     for j in rng.permutation(grads.shape[1]):
         g, ua = grads[:, j], basis[:, lam > 0]
         v = g - ua @ (ua.T @ g)  # g itself, bit for bit, with no active column
+        v -= ua @ (ua.T @ v)
         norm = np.linalg.norm(v)
         slot = int(np.argmin(lam))
         if norm > lam[slot]:
@@ -162,7 +163,7 @@ def svd_orth(lam, basis, grads, rng_seed):
 def update_orth(belief_pred, lin, y, cfg, rng_seed):
     """Mean by the Woodbury solve on the extended factor; basis via :func:`svd_orth`."""
     rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
-    mean = woodbury_mean(belief_pred.mean, belief_pred.eta, _extended_factor(belief_pred, lin), rhs)
+    mean = woodbury_mean(belief_pred.mean, belief_pred.eta, extended_factor(belief_pred, lin), rhs)
     lam, basis = svd_orth(belief_pred.singular_values, belief_pred.basis,
                           lin.whitened_jacobian_t, rng_seed)
     return _belief(mean, belief_pred.eta, basis, lam, "update_orth")

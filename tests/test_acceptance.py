@@ -18,7 +18,7 @@ import pytest
 from scipy import stats
 
 from lrkf import baselines, diagonal, spherical
-from lrkf.belief import DlrBelief, spherical_to_dense
+from lrkf.belief import DenseCovBelief, DlrBelief, spherical_to_dense
 from lrkf.diagonal import DynamicsConfig, LowRankConfig
 from lrkf.inflation import InflationConfig, inflate_dlr, inflate_spherical
 from lrkf.learners import (
@@ -57,7 +57,7 @@ def test_01_full_rank_matches_fcekf():
     dyn = DynamicsConfig(gamma=0.999, process_noise=1e-4, initial_precision=1.0)
     cfg = LowRankConfig(rank=p, dynamics=dyn)
     b_lr = DlrBelief(theta0, np.ones(p), np.zeros((p, p)))
-    b_fc = baselines.DenseBelief(theta0, np.eye(p))
+    b_fc = DenseCovBelief(theta0, np.eye(p))
     worst_mean = worst_prec = 0.0
     for _ in range(100):
         x = rng.uniform(-2, 2, 2)
@@ -70,8 +70,8 @@ def test_01_full_rank_matches_fcekf():
         )
         worst_prec = max(
             worst_prec,
-            np.linalg.norm(dense_precision(b_lr) - b_fc.precision)
-            / np.linalg.norm(b_fc.precision),
+            np.linalg.norm(dense_precision(b_lr) - np.linalg.inv(b_fc.cov))
+            / np.linalg.norm(np.linalg.inv(b_fc.cov)),
         )
     elapsed = time.time() - start
     ok = worst_mean < 1e-8 and worst_prec < 1e-8 and elapsed < 10
@@ -142,10 +142,10 @@ def test_04_conjugate_exactness():
     )
     dyn = DynamicsConfig(1.0, 0.0, eta0)
     cfg = LowRankConfig(rank=d, dynamics=dyn)
-    b_fc = baselines.DenseBelief(np.zeros(d), eta0 * np.eye(d))
+    b_fc = DenseCovBelief(np.zeros(d), np.eye(d) / eta0)
     b_lr = DlrBelief(np.zeros(d), np.full(d, eta0), np.zeros((d, d)))
-    b_ie1 = baselines.DenseBelief(np.zeros(d), eta0 * np.eye(d))
-    b_ie5 = baselines.DenseBelief(np.zeros(d), eta0 * np.eye(d))
+    b_ie1 = DenseCovBelief(np.zeros(d), np.eye(d) / eta0)
+    b_ie5 = DenseCovBelief(np.zeros(d), np.eye(d) / eta0)
     prec_star = eta0 * np.eye(d)
     info = np.zeros(d)
     for _ in range(30):
@@ -163,10 +163,10 @@ def test_04_conjugate_exactness():
         np.max(np.abs(b_lr.mean - mean_star)),
         np.max(np.abs(b_ie1.mean - mean_star)),
         np.max(np.abs(b_ie5.mean - mean_star)),
-        np.max(np.abs(b_fc.precision - prec_star)) / np.max(np.abs(prec_star)),
+        np.max(np.abs(np.linalg.inv(b_fc.cov) - prec_star)) / np.max(np.abs(prec_star)),
         np.linalg.norm(dense_precision(b_lr) - prec_star) / np.linalg.norm(prec_star),
-        np.max(np.abs(b_ie1.precision - prec_star)) / np.max(np.abs(prec_star)),
-        np.max(np.abs(b_ie5.precision - prec_star)) / np.max(np.abs(prec_star)),
+        np.max(np.abs(np.linalg.inv(b_ie1.cov) - prec_star)) / np.max(np.abs(prec_star)),
+        np.max(np.abs(np.linalg.inv(b_ie5.cov) - prec_star)) / np.max(np.abs(prec_star)),
     )
     elapsed = time.time() - start
     ok = worst < 1e-8 and elapsed < 5
@@ -241,10 +241,10 @@ def test_08_linesearch_cost_non_increasing():
     violations = 0
     for trial in range(100):
         mean = initialize_mean(model.spec, trial)
-        b = baselines.DenseBelief(mean, float(rng.uniform(0.5, 2.0)) * np.eye(p))
+        b = DenseCovBelief(mean, np.eye(p) / float(rng.uniform(0.5, 2.0)))
         x = rng.uniform(-2, 2, 2)
         y = rng.standard_normal(1)
-        prec_chol = np.linalg.cholesky(b.precision).T
+        prec_chol = np.linalg.cholesky(np.linalg.inv(b.cov)).T
         lin = linearize(model, x, mean)
 
         def cost(mu):

@@ -6,7 +6,6 @@ import pytest
 from lrkf import baselines
 from lrkf.baselines import (
     Adam,
-    DenseBelief,
     DiagonalBelief,
     IteratedConfig,
     ReplayBuffer,
@@ -22,6 +21,7 @@ from lrkf.baselines import (
     sgd_replay_step,
     vdekf_step,
 )
+from lrkf.belief import DenseCovBelief
 from lrkf.diagonal import DynamicsConfig, LowRankConfig
 from lrkf.linalg import sym_pinv, symmetrize
 from lrkf.models import (
@@ -68,7 +68,7 @@ class TestFcekf:
         d, r, eta0 = 3, 0.5, 2.0
         model = linear_model(d, r)
         dyn = DynamicsConfig(1.0, 0.0, eta0)
-        b = DenseBelief(np.zeros(d), eta0 * np.eye(d))
+        b = DenseCovBelief(np.zeros(d), np.eye(d) / eta0)
         xs, ys = [], []
         for _ in range(25):
             x = rng.standard_normal(d)
@@ -78,7 +78,8 @@ class TestFcekf:
             ys.append(y)
         mean_star, prec_star = conjugate_posterior(xs, ys, eta0, r)
         assert np.max(np.abs(b.mean - mean_star)) < 1e-10
-        assert np.max(np.abs(b.precision - prec_star)) < 1e-10 * np.max(np.abs(prec_star))
+        prec = np.linalg.inv(b.cov)
+        assert np.max(np.abs(prec - prec_star)) < 1e-10 * np.max(np.abs(prec_star))
 
     def test_zero_jacobian_no_update(self):
         model = FunctionModel(
@@ -87,21 +88,21 @@ class TestFcekf:
             GaussianFamily(1.0),
             parameter_count=2,
         )
-        b = DenseBelief(np.array([0.3, -0.2]), 2.0 * np.eye(2))
+        b = DenseCovBelief(np.array([0.3, -0.2]), 0.5 * np.eye(2))
         out, _ = fcekf_step(b, model, np.zeros(1), np.array([5.0]), DynamicsConfig(1.0, 0.0))
         assert out.mean == pytest.approx(b.mean)
-        assert out.precision == pytest.approx(b.precision)
+        assert out.cov == pytest.approx(b.cov)
 
     def test_two_identical_scalar_observations_add_information(self):
         r = 0.5
         model = linear_model(1, r)
         dyn = DynamicsConfig(1.0, 0.0, 1.0)
-        b = DenseBelief(np.zeros(1), np.eye(1))
+        b = DenseCovBelief(np.zeros(1), np.eye(1))
         x = np.array([2.0])
         b1, _ = fcekf_step(b, model, x, np.array([1.0]), dyn)
         b2, _ = fcekf_step(b1, model, x, np.array([1.0]), dyn)
-        assert b1.precision[0, 0] == pytest.approx(1.0 + 4.0 / r)
-        assert b2.precision[0, 0] == pytest.approx(1.0 + 8.0 / r)
+        assert 1.0 / b1.cov[0, 0] == pytest.approx(1.0 + 4.0 / r)
+        assert 1.0 / b2.cov[0, 0] == pytest.approx(1.0 + 8.0 / r)
 
 
 class TestDiagonalEkfs:
@@ -292,7 +293,7 @@ class TestIteratedEkf:
         rng = np.random.default_rng(6)
         d, r = 3, 0.6
         model = linear_model(d, r)
-        b = DenseBelief(rng.standard_normal(d), 1.5 * np.eye(d))
+        b = DenseCovBelief(rng.standard_normal(d), np.eye(d) / 1.5)
         x = rng.standard_normal(d)
         y = np.array([1.0])
         one = iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=1))
@@ -301,12 +302,12 @@ class TestIteratedEkf:
         exact = dense_update(b, lin, y)
         assert np.max(np.abs(one.mean - five.mean)) < 1e-12
         assert np.max(np.abs(one.mean - exact.mean)) < 1e-10
-        assert np.max(np.abs(one.precision - exact.precision)) < 1e-10
+        assert np.max(np.abs(one.cov - exact.cov)) < 1e-10
 
     def test_zero_step_accepts_alpha_one(self):
         # y exactly at the prediction makes delta zero and the cost flat
         model = linear_model(2, 1.0)
-        b = DenseBelief(np.array([1.0, 0.0]), np.eye(2))
+        b = DenseCovBelief(np.array([1.0, 0.0]), np.eye(2))
         x = np.array([1.0, 1.0])
         y = np.array([1.0])  # equals th @ x at the mean
         out = iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=3))
@@ -314,10 +315,10 @@ class TestIteratedEkf:
 
     def test_cubic_toy_cost_non_increasing(self):
         model = cubic_model(r=0.5)
-        b = DenseBelief(np.array([0.8]), np.array([[4.0]]))
+        b = DenseCovBelief(np.array([0.8]), np.array([[0.25]]))
         y = np.array([0.9])
         x = np.zeros(1)
-        prec_chol = np.linalg.cholesky(b.precision).T
+        prec_chol = np.linalg.cholesky(np.linalg.inv(b.cov)).T
         whitener = np.array([[1.0 / np.sqrt(0.5)]])
 
         def cost(mu):
@@ -336,10 +337,10 @@ class TestIteratedEkf:
         p = model.parameter_count
         for trial in range(20):
             mean = initialize_mean(model.spec, trial)
-            b = DenseBelief(mean, (0.5 + rng.random()) * np.eye(p))
+            b = DenseCovBelief(mean, np.eye(p) / (0.5 + rng.random()))
             x = rng.uniform(-2, 2, 2)
             y = rng.standard_normal(1)
-            prec_chol = np.linalg.cholesky(b.precision).T
+            prec_chol = np.linalg.cholesky(np.linalg.inv(b.cov)).T
             lin = linearize(model, x, mean)
 
             def cost(mu):
@@ -379,7 +380,7 @@ def pinned_problem():
 
 def test_iterated_ekf_mean_is_pinned():
     model, mean, x, y = pinned_problem()
-    b = DenseBelief(mean, 0.3 * np.eye(model.parameter_count))
+    b = DenseCovBelief(mean, np.eye(model.parameter_count) / 0.3)
     out = iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=3))
     np.testing.assert_array_equal(out.mean, PINNED_IEKF_MEAN)
 

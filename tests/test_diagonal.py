@@ -251,7 +251,8 @@ class TestDiagonalExactnessProperty:
 
 
 def test_full_rank_trajectory_matches_dense_ekf_on_mlp_stream():
-    from lrkf.baselines import DenseBelief, dense_predict, dense_update
+    from lrkf.baselines import dense_predict, dense_update
+    from lrkf.belief import DenseCovBelief
 
     rng = np.random.default_rng(77)
     model = MlpModel(MlpSpec((2, 3, 1), activation="tanh"), GaussianFamily(0.25))
@@ -260,7 +261,7 @@ def test_full_rank_trajectory_matches_dense_ekf_on_mlp_stream():
     dyn = DynamicsConfig(gamma=0.999, process_noise=1e-4, initial_precision=1.0)
     cfg = LowRankConfig(rank=p, dynamics=dyn)
     b_lr = DlrBelief(theta0, np.ones(p), np.zeros((p, p)))
-    b_dense = DenseBelief(theta0, np.eye(p))
+    b_dense = DenseCovBelief(theta0, np.eye(p))
     for t in range(100):
         x = rng.uniform(-2, 2, 2)
         y = np.array([np.sin(x.sum()) + 0.1 * rng.standard_normal()])
@@ -269,9 +270,8 @@ def test_full_rank_trajectory_matches_dense_ekf_on_mlp_stream():
         lin = linearize(model, x, pred.mean)
         b_dense = dense_update(pred, lin, y)
     rel_mean = np.max(np.abs(b_lr.mean - b_dense.mean)) / max(1.0, np.max(np.abs(b_dense.mean)))
-    rel_prec = np.linalg.norm(dense_precision(b_lr) - b_dense.precision) / np.linalg.norm(
-        b_dense.precision
-    )
+    prec_dense = np.linalg.inv(b_dense.cov)
+    rel_prec = np.linalg.norm(dense_precision(b_lr) - prec_dense) / np.linalg.norm(prec_dense)
     assert rel_mean < 1e-8
     assert rel_prec < 1e-8
 

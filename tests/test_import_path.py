@@ -1,5 +1,5 @@
-"""scipy stays off lrkf's import path and off every runtime path but fcekf's,
-and the process pool stays off the import path.
+"""scipy stays off lrkf's import path and off every runtime path, and the
+process pool stays off the import path.
 
 Each check runs in a fresh interpreter, so a module that an earlier test
 imported cannot hide or fake a load. Running a few events of each method
@@ -71,14 +71,8 @@ def scipy_modules_after(tmp_path, *tags):
 
 
 def test_imports_and_runtime_paths_load_no_scipy(tmp_path):
-    tags = ("lrekf", "categorical", "spherical", "vdekf", "nlpd", "thompson")
+    tags = ("lrekf", "categorical", "spherical", "vdekf", "nlpd", "fcekf", "thompson")
     assert scipy_modules_after(tmp_path, *tags) == []
-
-
-def test_fcekf_is_the_one_method_that_loads_scipy(tmp_path):
-    # its Cholesky solve imports scipy.linalg on first use
-    assert scipy_modules_after(tmp_path) == []
-    assert "scipy.linalg" in scipy_modules_after(tmp_path, "fcekf")
 
 
 def test_imports_load_no_process_pool():

@@ -294,6 +294,22 @@ class TestUpdateOrth:
             b = update_orth(b, lin, rng.standard_normal(1), cfg, rng_seed=t)
         assert orthonormality_error(b.basis) <= 1e-8
 
+    def test_shipped_sine_stream_keeps_the_basis_orthonormal(self):
+        # sine.ini seed 0 with update = orth, all 1,250 events (worst 1.3e-15);
+        # one projection pass per column lost orthonormality after 1,245 events
+        cfg = harness.parse_config(str(REPO / "demos/configs/sine.ini"))
+        events, in_dim, out_dim = harness.build_stream(cfg, 0)
+        model = harness.build_model(cfg, in_dim, out_dim)
+        params = {**cfg.method_params, "update": "orth"}
+        learner = harness.build_learner("lrekf_spherical", model, params, 0)
+        worst = 0.0
+        for ev in events:
+            learner.predict(ev.x)
+            learner.observe(ev.x, ev.y)
+            worst = max(worst, orthonormality_error(learner.belief.basis))
+        assert len(events) == 1250
+        assert worst <= 1e-8
+
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_complete_basis_with_rank_columns_is_a_fresh_column_stack(order):

@@ -4,17 +4,15 @@
 
 Runs ``demos/configs/sine.ini`` as shipped (``lrekf``), with
 ``name = lrekf_spherical``, ``vdekf`` and ``fdekf``, under ``lrekf``
-with ``metrics = rmse nll nlpd``, and under ``lrekf_spherical`` with
-``update = orth`` and under ``ilrekf``, these two on a stream of 100 steps
-per task; ``demos/configs/bandit.ini``; and the benchmark's categorical
+with ``metrics = rmse nll nlpd``, under ``lrekf_spherical`` with
+``update = orth``, and under ``ilrekf`` on a stream of 100 steps per
+task; ``demos/configs/bandit.ini``; and the benchmark's categorical
 ``perfbench/configs/wide.ini`` (read, not changed). The other runs keep
 their shipped length. Each runs into its own temporary directory, and
 the script prints one ``sha256 path`` line per CSV written (``path``
 relative to that run's output directory, prefixed by the run's name).
 BLAS is pinned to one thread before numpy loads, because some products
-round differently with more threads. At its shipped length the orth
-update loses basis orthonormality on every sine seed (after 816–1,245
-events on seeds 0–2), hence its shorter stream.
+round differently with more threads.
 
 The lrkf it imports is the ``src`` next to this script, so a copy of the
 script in a checkout of another commit digests that commit. Two commits
@@ -47,10 +45,10 @@ def runs():
     for method in SINE_METHODS:
         yield f"sine-{method}", harness.run_experiment, replace(sine, method=method)
     yield "sine-lrekf-nlpd", harness.run_experiment, replace(sine, metrics=("rmse", "nll", "nlpd"))
-    short = replace(sine, stream={**sine.stream, "steps_per_task": 100})
     orth = {**sine.method_params, "update": "orth"}
     yield "sine-lrekf_spherical-orth", harness.run_experiment, replace(
-        short, method="lrekf_spherical", method_params=orth)
+        sine, method="lrekf_spherical", method_params=orth)
+    short = replace(sine, stream={**sine.stream, "steps_per_task": 100})
     yield "sine-ilrekf", harness.run_experiment, replace(short, method="ilrekf")
     bandit = harness.parse_config(str(ROOT / "demos/configs/bandit.ini"))
     yield "bandit", harness.run_bandit_experiment, bandit

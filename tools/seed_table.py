@@ -3,10 +3,10 @@
     python3 tools/seed_table.py [--against DIR] [--src SRC] [--json]
 
 Runs seeds 0-9 of ``demos/configs/sine.ini`` under ``lrekf``,
-``lrekf_spherical``, ``vdekf`` and ``fdekf`` and prints, per method, the
-mean over seeds (and the standard deviation across seeds) of each seed's
-mean per-event ``rmse`` and ``nll``, as ``summary.csv`` averages them; then
-the same for the mean per-step ``reward`` of ``demos/configs/bandit.ini``
+``lrekf_spherical``, ``vdekf``, ``fdekf`` and ``fcekf`` and prints, per
+method, the mean over seeds (and the standard deviation across seeds) of
+each seed's mean per-event ``rmse`` and ``nll``, as ``summary.csv``
+averages them; then the same for the mean per-step ``reward`` of ``demos/configs/bandit.ini``
 over seeds 0-9. A failed seed reads ``nan``. BLAS is pinned to one thread
 before numpy loads, as in ``tools/output_digests.py``.
 
@@ -43,7 +43,7 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = list(range(10))
-SINE_METHODS = ("lrekf", "lrekf_spherical", "vdekf", "fdekf")
+SINE_METHODS = ("lrekf", "lrekf_spherical", "vdekf", "fdekf", "fcekf")
 SINE_METRICS = ("rmse", "nll")
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import DenseCovBelief, DlrBelief
+from .belief import DenseCovBelief, DlrBelief, validated
 from .exceptions import NumericalDegeneracyError
 from .linalg import chol_or_raise, sym_pinv, symmetrize, thin_svd, woodbury_mean
 from .models import linearize, softmax
@@ -96,9 +96,8 @@ def fcekf_step(belief, model, x, y, dyn):
 
 def diagonal_predict(belief, dyn):
     g, q = dyn.gamma, dyn.process_noise
-    return DiagonalBelief(
-        g * belief.mean, 1.0 / (g * g / belief.diag_precision + q)
-    )
+    return validated("diagonal_predict", DiagonalBelief,
+                     g * belief.mean, 1.0 / (g * g / belief.diag_precision + q))
 
 
 def _diagonal_mean_update(belief_pred, lin, y):
@@ -119,7 +118,8 @@ def vdekf_step(belief_pred, lin, y):
     """Variational diagonal EKF update: keep the diagonal of the posterior precision."""
     mean, _, _ = _diagonal_mean_update(belief_pred, lin, y)
     wh = lin.whitened_jacobian_t
-    return DiagonalBelief(mean, belief_pred.diag_precision + np.einsum("ij,ij->i", wh, wh))
+    return validated("vdekf_step", DiagonalBelief,
+                     mean, belief_pred.diag_precision + np.einsum("ij,ij->i", wh, wh))
 
 
 def fdekf_step(belief_pred, lin, y):
@@ -130,7 +130,7 @@ def fdekf_step(belief_pred, lin, y):
     cov_diag = 1.0 / belief_pred.diag_precision - correction
     if np.any(cov_diag <= 0):
         raise NumericalDegeneracyError("moment-matched variance went non-positive")
-    return DiagonalBelief(mean, 1.0 / cov_diag)
+    return validated("fdekf_step", DiagonalBelief, mean, 1.0 / cov_diag)
 
 
 # ---------------------------------------------------------------------------

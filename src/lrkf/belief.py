@@ -12,8 +12,17 @@ Three parameterizations of ``N(mean, precision^-1)``, and one of ``N(mean, cov)`
 
 Beliefs are immutable snapshots: every filter operation returns a new
 instance, so they are safe to share between threads.
+
+Construction validates. A DLR belief checks its shapes and a finite,
+positive diagonal (one min, one max). A spherical belief checks ``eta``,
+finite singular values >= 0 sorted non-increasing, and an orthonormal
+basis by a P x L Gram. Only :meth:`SphericalBelief.on_same_basis`, used by
+the spherical drift and inflation, skips that Gram; the updates,
+:func:`lrkf.spherical.truncate`, :func:`load_belief` and a caller's belief
+run it.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -25,6 +34,8 @@ from .linalg import chol_or_raise, thin_svd
 # Largest P for which dense P x P reconstructions are allowed: the dense
 # conversions and the dense sampling oracle. No production path uses them.
 DENSE_ORACLE_LIMIT = 200
+
+_min, _max, _all = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,7 @@ class DlrBelief:
             raise ValueError(
                 f"low_rank has {low.shape[0]} rows but the mean has length {mean.shape[0]}"
             )
-        if diag.size and not (diag.min() > 0.0 and diag.max() < np.inf):  # a NaN min fails
+        if diag.size and not (_min(diag) > 0.0 and _max(diag) < math.inf):  # a NaN min fails
             raise ValueError("diag_precision entries must be finite and > 0")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "diag_precision", diag)
@@ -81,7 +92,7 @@ class SphericalBelief:
     """Gaussian with precision ``eta * I + U diag(lam)^2 U^T``.
 
     ``basis`` has orthonormal columns and ``singular_values`` is sorted
-    non-increasing with all entries >= 0.
+    non-increasing with all entries finite and >= 0.
     """
 
     mean: np.ndarray
@@ -89,20 +100,21 @@ class SphericalBelief:
     basis: np.ndarray
     singular_values: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, check_basis=True):
         mean = np.asarray(self.mean, dtype=float)
         basis = np.asarray(self.basis, dtype=float)
         lam = np.asarray(self.singular_values, dtype=float)
-        if not (np.isfinite(self.eta) and self.eta > 0):
+        if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError("eta must be finite and > 0")
         if basis.ndim != 2 or basis.shape[0] != mean.shape[0]:
             raise ValueError("basis must be P x L")
         if lam.shape != (basis.shape[1],):
             raise ValueError("singular_values length must match basis columns")
-        if (lam < 0).any() or (lam[:-1] < lam[1:]).any():
-            raise ValueError("singular_values must be >= 0 and non-increasing")
+        # one comparison each: every NaN and every infinity fails one of them
+        if lam.size and not (lam[-1] >= 0.0 and lam[0] < math.inf and _all(lam[:-1] >= lam[1:])):
+            raise ValueError("singular_values must be finite, >= 0 and non-increasing")
         rank = basis.shape[1]
-        if rank:
+        if rank and check_basis:
             gram = basis.T @ basis
             gram.flat[:: rank + 1] -= 1.0
             if np.abs(gram).max() > 1e-8:
@@ -112,6 +124,17 @@ class SphericalBelief:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "singular_values", lam)
 
+    def on_same_basis(self, mean, eta, singular_values):
+        """A belief around this belief's very basis array with a new mean,
+        ``eta`` and singular values. Every check but the basis Gram runs:
+        the basis passed it when this belief was built."""
+        new = object.__new__(SphericalBelief)
+        for name, value in (("mean", mean), ("eta", eta), ("basis", self.basis),
+                            ("singular_values", singular_values)):
+            object.__setattr__(new, name, value)
+        new.__post_init__(check_basis=False)
+        return new
+
     @property
     def dim(self):
         return self.mean.shape[0]
@@ -119,6 +142,16 @@ class SphericalBelief:
     @property
     def rank(self):
         return self.basis.shape[1]
+
+
+def validated(what, build, *args):
+    """``build(*args)`` inside a filter step: a belief that fails its
+    validation raises NumericalDegeneracyError naming the step ``what``,
+    so the run records a failed seed instead of ending."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise NumericalDegeneracyError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)

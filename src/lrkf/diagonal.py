@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import DlrBelief
+from .belief import DlrBelief, validated
 from .exceptions import NumericalDegeneracyError
 from .linalg import chol_or_raise, symmetrize, thin_svd, woodbury_mean
 from .models import initialize_mean, linearize
@@ -114,7 +114,7 @@ def predict(belief, cfg, out_dim=0):
     p, rank = w.shape
     if rank == 0 or g == 0.0:
         ext = np.zeros((p, rank + out_dim), order="F")
-        return DlrBelief(mean, ups_pred, ext[:, :rank])
+        return validated("diagonal predict", DlrBelief, mean, ups_pred, ext[:, :rank])
     ratio = ups_pred / ups
     scaled = ratio[:, None] * w
     core = q * (w.T @ scaled)
@@ -126,7 +126,7 @@ def predict(belief, cfg, out_dim=0):
     chol = chol_or_raise(symmetrize(core_inv), "predict core")
     ext = np.empty((p, rank + out_dim), order="F")
     w_pred = np.matmul(scaled, g * chol, out=ext[:, :rank])
-    return DlrBelief(mean, ups_pred, w_pred)
+    return validated("diagonal predict", DlrBelief, mean, ups_pred, w_pred)
 
 
 def _extended_factor(w, lin):
@@ -188,7 +188,7 @@ def update(belief_pred, lin, y, cfg):
     rank = cfg.rank
     dropped = u[:, rank:]
     ups_new = ups + np.einsum("ij,ij->i", dropped, dropped)
-    return DlrBelief(mean, ups_new, u[:, :rank])
+    return validated("diagonal update", DlrBelief, mean, ups_new, u[:, :rank])
 
 
 def step(belief, x, y, model, cfg):

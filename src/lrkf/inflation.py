@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import DlrBelief, SphericalBelief
+from .belief import DlrBelief
 from .linalg import woodbury_mean
 
 VARIANTS = ("none", "bayesian", "simple", "hybrid")
@@ -92,14 +92,13 @@ def inflate_spherical(belief, cfg):
     a = cfg.alpha
     lam = belief.singular_values / np.sqrt(1.0 + a)
     if cfg.variant == "simple":
-        return SphericalBelief(belief.mean, belief.eta / (1.0 + a), belief.basis, lam)
+        return belief.on_same_basis(belief.mean, belief.eta / (1.0 + a), lam)
     if cfg.variant == "hybrid":
-        return SphericalBelief(belief.mean, belief.eta, belief.basis, lam)
+        return belief.on_same_basis(belief.mean, belief.eta, lam)
     # bayesian: the pull solves against eta I + U diag(lam)^2 U^T
     if cfg.prior_mean_ref is None:
         raise ValueError("bayesian inflation needs prior_mean_ref")
     eta = belief.eta
     target = cfg.gamma_product * np.asarray(cfg.prior_mean_ref, dtype=float)
     rhs = (a * eta / (1.0 + a)) * (target - belief.mean)
-    return SphericalBelief(woodbury_mean(belief.mean, eta, belief.basis * lam, rhs), eta,
-                           belief.basis, lam)
+    return belief.on_same_basis(woodbury_mean(belief.mean, eta, belief.basis * lam, rhs), eta, lam)

@@ -11,6 +11,12 @@ of shape (S, P) to (S, C) in one pass, each row bit-identical to its
 single-draw result. Jacobians take a single (P,) vector. Their forward
 pass also yields the output, so a linearization costs one network pass.
 
+Every pass runs one layer loop, ``MlpModel._pass``. An ``MlpSpec``
+caches what that loop and the Jacobian's backward pass need besides the
+parameters, built on first use: the weight and bias slices and shapes of
+each layer, the activation and its derivative (looked up by name once),
+and the read-only C x C identity the backward pass starts from.
+
 Likelihood families:
 
 * ``GaussianFamily(obs_variance)`` for regression. ``obs_variance`` may be
@@ -37,6 +43,8 @@ PROB_CLAMP = 1e-7
 # Eigenvalues of the moment-matched covariance at or below this threshold
 # are treated as the kernel when forming the pseudo-inverse whitener.
 WHITENER_EIG_FLOOR = 1e-10
+
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,23 @@ def _link_jacobian(family, logits, jac):
     return mean, jac
 
 
+def _relu(z):
+    return np.maximum(z, 0.0)
+
+
+def _tanh_grad(z, a):
+    return 1.0 - a**2
+
+
+def _relu_grad(z, a):
+    return (z > 0).astype(float)
+
+
+# activation name -> (activation, its derivative from the pre- and
+# post-activation values); an MlpSpec resolves its pair once
+_ACTIVATIONS = {"tanh": (np.tanh, _tanh_grad), "relu": (_relu, _relu_grad)}
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     """Fully connected network shape.
@@ -174,25 +199,38 @@ class MlpSpec:
         widths = tuple(int(w) for w in self.layer_widths)
         if len(widths) < 2 or any(w <= 0 for w in widths):
             raise ValueError("layer_widths needs >= 2 positive entries")
-        if self.activation not in ("relu", "tanh"):
+        if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         object.__setattr__(self, "layer_widths", widths)
 
     @cached_property
     def parameter_count(self):
-        return self._layout[-1][2]
+        return self._layout[-1][1].stop
 
     @cached_property
     def _layout(self):
-        """Per layer: (weight start, bias start, bias end, n_out, n_in) in
-        the flat parameters; computed once per spec."""
+        """Per layer: (weight slice, bias slice, weight shape (n_out, n_in))
+        of the flat parameters."""
         layout, pos = [], 0
         w = self.layer_widths
         for n_in, n_out in zip(w[:-1], w[1:]):
             mid = pos + n_in * n_out
-            layout.append((pos, mid, mid + n_out, n_out, n_in))
+            layout.append((slice(pos, mid), slice(mid, mid + n_out), (n_out, n_in)))
             pos = mid + n_out
         return tuple(layout)
+
+    @cached_property
+    def activation_fns(self):
+        """``(activation, derivative)``; the derivative takes the pre- and
+        post-activation values."""
+        return _ACTIVATIONS[self.activation]
+
+    @cached_property
+    def output_eye(self):
+        """Read-only C x C identity: d(output)/d(output layer's z)."""
+        eye = np.eye(self.out_dim)
+        eye.flags.writeable = False
+        return eye
 
     @property
     def in_dim(self):
@@ -214,20 +252,13 @@ class MlpSpec:
                 f"theta has length {theta.shape}, expected {self.parameter_count}"
             )
         lead = theta.shape[:-1]
-        return [
-            (theta[..., start:mid].reshape(*lead, n_out, n_in), theta[..., mid:end])
-            for start, mid, end, n_out, n_in in self._layout
-        ]
-
-
-def _act(spec, z):
-    return np.tanh(z) if spec.activation == "tanh" else np.maximum(z, 0.0)
+        return [(theta[..., w].reshape(lead + shape), theta[..., b])
+                for w, b, shape in self._layout]
 
 
 def _act_grad(spec, z, a):
-    if spec.activation == "tanh":
-        return 1.0 - a**2
-    return (z > 0).astype(float)
+    """The derivative of ``spec``'s activation at ``z``, where it gave ``a``."""
+    return spec.activation_fns[1](z, a)
 
 
 @dataclass(frozen=True)
@@ -248,18 +279,24 @@ class MlpModel:
     def _pass(self, x, layers):
         """Pre- and post-activation values of every layer, input first in
         the latter; a leading draw axis of the weights carries through."""
+        act = self.spec.activation_fns[0]
         acts = [x]
         pre = []
         a = x
+        last = len(layers) - 1
         for i, (weight, bias) in enumerate(layers):
             # matrix-column product: bit-identical to ``weight @ a`` per draw
             z = (weight @ a[..., None])[..., 0] + bias
             pre.append(z)
-            a = z if i == len(layers) - 1 else _act(self.spec, z)
+            a = z if i == last else act(z)
             acts.append(a)
         return pre, acts
 
     def _input(self, x):
+        """``x`` itself when it is already a float64 vector of the input
+        width, else converted and checked."""
+        if type(x) is np.ndarray and x.dtype is _FLOAT and x.shape == self.spec.layer_widths[:1]:
+            return x
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.spec.in_dim,):
             raise ValueError(f"x has shape {x.shape}, expected ({self.spec.in_dim},)")
@@ -293,22 +330,21 @@ class MlpModel:
         else:
             layers = self.spec.unpack(theta)
             pre, acts = self._pass(x, layers)
-        c = self.spec.out_dim
-        p = self.spec.parameter_count
-        jac = np.zeros((c, p))
-        # backward pass: g holds d(output)/d(z_layer), shape (C, width)
-        g = np.eye(c)
-        pos = p
-        for i in range(len(layers) - 1, -1, -1):
-            weight, _ = layers[i]
-            n_out, n_in = weight.shape
-            pos -= n_out
-            jac[:, pos : pos + n_out] = g
-            pos -= n_in * n_out
-            block = jac[:, pos : pos + n_in * n_out].reshape(c, n_out, n_in)  # a view of jac
+        spec = self.spec
+        c, last = spec.out_dim, len(layers) - 1
+        jac = np.empty((c, spec.parameter_count))  # every entry is written below
+        # backward pass: g holds d(output)/d(z_layer), shape (C, width); at
+        # the output layer it is the identity, so the step back from there
+        # is W_out * act'(pre), with no product by the identity (same bits)
+        g = spec.output_eye
+        for i in range(last, -1, -1):
+            w_slice, b_slice, shape = spec._layout[i]
+            jac[:, b_slice] = g
+            block = jac[:, w_slice].reshape(c, *shape)  # a view of jac
             np.multiply(g[:, :, None], acts[i], out=block)
             if i > 0:
-                g = (g @ weight) * _act_grad(self.spec, pre[i - 1], acts[i])[None, :]
+                weight = layers[i][0]
+                g = (weight if i == last else g @ weight) * _act_grad(spec, pre[i - 1], acts[i])
         return pre[-1], jac
 
     def jacobian(self, x, theta, kept=None):

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .belief import SphericalBelief
+from .belief import SphericalBelief, validated
 from .exceptions import NumericalDegeneracyError
 from .linalg import thin_svd, woodbury_mean
 from .models import initialize_mean
@@ -73,7 +73,9 @@ def predict(belief, cfg):
 
     Under the steady-state constraint ``gamma^2 + q * eta == 1`` the
     spherical precision is exactly constant and only the singular values
-    shrink.
+    shrink. The drifted belief holds ``belief``'s very basis array, which
+    was checked when ``belief`` was built, so its P x L Gram is not
+    recomputed (:meth:`~lrkf.belief.SphericalBelief.on_same_basis`).
     """
     dyn = cfg.dynamics
     g, q = dyn.gamma, dyn.process_noise
@@ -86,7 +88,7 @@ def predict(belief, cfg):
         denom = g * g + q * belief.eta
         eta = belief.eta / denom
         lam2_new = g * g * lam2 / (denom * (denom + q * lam2))
-    return SphericalBelief(mean, eta, belief.basis, np.sqrt(lam2_new))
+    return validated("spherical predict", belief.on_same_basis, mean, eta, np.sqrt(lam2_new))
 
 
 def extended_factor(belief_pred, lin):
@@ -98,22 +100,13 @@ def extended_factor(belief_pred, lin):
     return w_ext
 
 
-def _belief(mean, eta, basis, lam, what):
-    """SphericalBelief; one whose basis fails the orthonormality check
-    raises NumericalDegeneracyError naming ``what``."""
-    try:
-        return SphericalBelief(mean, eta, basis, lam)
-    except ValueError as exc:
-        raise NumericalDegeneracyError(f"spherical {what}: {exc}") from exc
-
-
 def truncate(mean, eta, s, u, preferred, rank, what):
     """Spherical belief from the top-``rank`` pairs ``(s, u)`` of a
     :func:`~lrkf.linalg.thin_svd`; zero directions (a suffix, as its dead
     columns are) are refilled from ``preferred``."""
     lam = s[:rank]
     basis = complete_basis(u[:, : np.count_nonzero(lam)], preferred, rank)
-    return _belief(mean, eta, basis, lam, what)
+    return validated(f"spherical {what}", SphericalBelief, mean, eta, basis, lam)
 
 
 def update_svd(belief_pred, lin, y, cfg):
@@ -166,4 +159,4 @@ def update_orth(belief_pred, lin, y, cfg, rng_seed):
     mean = woodbury_mean(belief_pred.mean, belief_pred.eta, extended_factor(belief_pred, lin), rhs)
     lam, basis = svd_orth(belief_pred.singular_values, belief_pred.basis,
                           lin.whitened_jacobian_t, rng_seed)
-    return _belief(mean, belief_pred.eta, basis, lam, "update_orth")
+    return validated("spherical update_orth", SphericalBelief, mean, belief_pred.eta, basis, lam)

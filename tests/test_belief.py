@@ -87,6 +87,27 @@ def test_spherical_invariants_enforced():
         SphericalBelief(np.zeros(3), 1.0, np.full((3, 2), 0.5), np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         SphericalBelief(np.zeros(3), 1.0, np.eye(3)[:, :2], np.array([0.5, 1.0]))  # increasing
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 3)))[0]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="singular_values must be finite"):
+            SphericalBelief(np.zeros(20), 1.0, q, [2.0, bad, 1.0])
+    with pytest.raises(ValueError, match="singular_values must be finite"):
+        SphericalBelief(np.zeros(20), 1.0, q, [np.inf, 2.0, 1.0])
+    with pytest.raises(ValueError, match="singular_values must be finite"):
+        SphericalBelief(np.zeros(20), 1.0, q[:, :1], [np.nan])
+
+
+def test_caller_built_spherical_belief_checks_the_basis_it_is_given():
+    # the basis of an already-checked belief, skewed in place afterwards:
+    # only on_same_basis trusts a checked basis, the constructor does not
+    b = random_spherical(6, 2, seed=5)
+    b.basis[:, 1] += 1e-6 * b.basis[:, 0]
+    with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+        SphericalBelief(b.mean, b.eta, b.basis, b.singular_values)
+    moved = b.on_same_basis(2.0 * b.mean, 3.0, 0.5 * b.singular_values)
+    assert moved.basis is b.basis and moved.eta == 3.0
+    with pytest.raises(ValueError, match="singular_values must be finite"):
+        b.on_same_basis(b.mean, b.eta, np.array([1.0, np.nan]))
 
 
 def test_roundtrip_eigendecomposition():

@@ -380,6 +380,23 @@ steps = 400
         )
         assert "seed 1: NumericalDegeneracyError" in (tmp_path / "o" / "failures.txt").read_text()
 
+    def test_diagonal_belief_failing_validation_fails_only_that_seed(self, tmp_path):
+        # obs_variance = 1e-320 whitens the Jacobian past the float range:
+        # vdekf's posterior diagonal turns infinite, and the step reports a
+        # numerical degeneracy instead of ending the run
+        text = (REPO / "demos" / "configs" / "sine.ini").read_text()
+        text = text.replace("name = lrekf", "name = vdekf").replace("seeds = 0 1 2", "seeds = 0")
+        text = text.replace("obs_variance = 0.0025", "obs_variance = 1e-320")
+        text = text.replace("steps_per_task = 250", "steps_per_task = 5")
+        text = text.replace("output = out/sine", f"output = {tmp_path / 'o'}")
+        status = run_experiment(parse_config(write_config(tmp_path / "c.ini", text)))
+        assert status["completed"] == []
+        assert status["failed"][0] == (
+            "NumericalDegeneracyError: vdekf_step: diag_precision entries must be finite and > 0"
+        )
+        assert (tmp_path / "o" / "failures.txt").read_text().startswith(
+            "seed 0: NumericalDegeneracyError: vdekf_step")
+
     @pytest.mark.parametrize("tag", ["lrekf", "fcekf", "iekf", "ilrekf"])
     def test_nan_target_fails_only_that_seed(self, tag, tmp_path):
         # one NaN target in the csv: the update that meets it raises, and

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,8 @@ class TestBatchedForward:
             assert np.array_equal(logits[s], model.logits(x, theta))
             assert np.array_equal(logits[s], self._reference_logits(spec, x, theta))
             assert np.array_equal(out[s], model.forward(x, theta))
+            assert logits[s].tobytes() == model.logits(x, theta).tobytes()
+            assert out[s].tobytes() == model.forward(x, theta).tobytes()
 
     def test_single_draw_stack_matches_vector(self):
         model = MlpModel(MlpSpec((2, 4, 3)), CategoricalFamily())
@@ -298,31 +302,38 @@ class TestOnePassLinearization:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_jacobian_written_in_place_matches_block_and_copy(self, activation):
         # each weight block is written through a reshaped view of the
-        # Jacobian; if the reshape copied, the block would be lost
+        # Jacobian; if the reshape copied, the block would be lost. C = 1, 5
+        # and 10 outputs, one and two hidden layers, from a fresh pass and
+        # from the pass a forward call kept
         from lrkf.models import _act_grad
 
-        model = MlpModel(MlpSpec((3, 7, 5, 10), activation=activation), CategoricalFamily())
-        theta = initialize_mean(model.spec, 4)
-        x = np.array([0.3, -1.2, 0.8])
-        layers = model.spec.unpack(theta)
-        pre, acts = model._pass(model._input(x), layers)
-        c, p = 10, model.parameter_count
-        ref = np.zeros((c, p))
-        g, pos = np.eye(c), p
-        for i in range(len(layers) - 1, -1, -1):
-            weight, _ = layers[i]
-            n_out, n_in = weight.shape
-            pos -= n_out
-            ref[:, pos : pos + n_out] = g
-            pos -= n_in * n_out
-            block = g[:, :, None] * acts[i][None, None, :]
-            ref[:, pos : pos + n_in * n_out] = block.reshape(c, n_in * n_out)
-            if i > 0:
-                g = (g @ weight) * _act_grad(model.spec, pre[i - 1], acts[i])[None, :]
-        logits, jac = model.logit_jacobian(x, theta)
-        assert np.array_equal(logits, pre[-1])
-        assert jac.tobytes() == ref.tobytes()
-        assert np.any(ref[:, : 3 * 7])  # the first layer's weights reach the output
+        for widths, kept in product([(3, 7, 1), (3, 7, 5), (3, 7, 10), (3, 7, 5, 1),
+                                     (3, 7, 5, 5), (3, 7, 5, 10)], [False, True]):
+            model = MlpModel(MlpSpec(widths, activation=activation), CategoricalFamily())
+            theta = initialize_mean(model.spec, 4)
+            x = np.array([0.3, -1.2, 0.8])
+            layers = model.spec.unpack(theta)
+            pre, acts = model._pass(model._input(x), layers)
+            c, p = widths[-1], model.parameter_count
+            ref = np.zeros((c, p))
+            g, pos = np.eye(c), p
+            for i in range(len(layers) - 1, -1, -1):
+                weight, _ = layers[i]
+                n_out, n_in = weight.shape
+                pos -= n_out
+                ref[:, pos : pos + n_out] = g
+                pos -= n_in * n_out
+                block = g[:, :, None] * acts[i][None, None, :]
+                ref[:, pos : pos + n_in * n_out] = block.reshape(c, n_in * n_out)
+                if i > 0:
+                    g = (g @ weight) * _act_grad(model.spec, pre[i - 1], acts[i])[None, :]
+            keep = {}
+            if kept:
+                model.forward(x, theta, keep=keep)
+            logits, jac = model.logit_jacobian(x, theta, keep)
+            assert np.array_equal(logits, pre[-1])
+            assert jac.tobytes() == ref.tobytes()
+            assert np.any(ref[:, : 3 * 7])  # the first layer's weights reach the output
 
     def test_linearize_rejects_bad_input_shape(self):
         model = MlpModel(MlpSpec((2, 3, 1)), GaussianFamily(1.0))

@@ -44,6 +44,24 @@ class TestPredict:
         assert out.singular_values == pytest.approx(b.singular_values)
         assert out.basis is b.basis
 
+    def test_drifted_belief_holds_the_input_basis_without_its_gram(self):
+        # the basis passed its orthonormality check when b was built; the
+        # drift keeps that very array and does not recompute the Gram, so a
+        # skew written into it afterwards goes unseen here
+        b = random_spherical(6, 3, seed=7)
+        b.basis[:, 1] += 1e-6 * b.basis[:, 0]
+        out = predict(b, LowRankConfig(rank=3, dynamics=DynamicsConfig(0.97, 0.05)))
+        assert out.basis is b.basis
+        assert out.singular_values.tolist() != b.singular_values.tolist()
+
+    def test_non_finite_drift_is_a_numerical_degeneracy(self):
+        b = random_spherical(6, 2, seed=8)
+        b = SphericalBelief(b.mean, b.eta, b.basis, np.array([1e200, 1.0]))  # lam^2 overflows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalDegeneracyError, match="spherical predict: singular_values"
+        ):
+            predict(b, LowRankConfig(rank=2, dynamics=DynamicsConfig(0.97, 0.05)))
+
     def test_steady_state_eta_constant_over_1000_iterations(self):
         eta0 = 2.0
         q = 0.01

@@ -5,9 +5,10 @@
 Runs ``demos/configs/sine.ini`` as shipped (``lrekf``), with
 ``name = lrekf_spherical``, ``vdekf`` and ``fdekf``, under ``lrekf``
 with ``metrics = rmse nll nlpd``, under ``lrekf_spherical`` with
-``update = orth``, and under ``ilrekf`` on a stream of 100 steps per
-task; ``demos/configs/bandit.ini``; and the benchmark's categorical
-``perfbench/configs/wide.ini`` (read, not changed). The other runs keep
+``update = orth``, under ``ilrekf`` on a stream of 100 steps per task,
+and with ``[model] activation = relu`` under ``lrekf`` and ``vdekf`` on
+that shorter stream; ``demos/configs/bandit.ini``; and the benchmark's
+categorical ``perfbench/configs/wide.ini`` (read, not changed). The other runs keep
 their shipped length. Each runs into its own temporary directory, and
 the script prints one ``sha256 path`` line per CSV written (``path``
 relative to that run's output directory, prefixed by the run's name).
@@ -50,6 +51,9 @@ def runs():
         sine, method="lrekf_spherical", method_params=orth)
     short = replace(sine, stream={**sine.stream, "steps_per_task": 100})
     yield "sine-ilrekf", harness.run_experiment, replace(short, method="ilrekf")
+    relu = replace(short, model={**short.model, "activation": "relu"})
+    for method in ("lrekf", "vdekf"):
+        yield f"sine-relu-{method}", harness.run_experiment, replace(relu, method=method)
     bandit = harness.parse_config(str(ROOT / "demos/configs/bandit.ini"))
     yield "bandit", harness.run_bandit_experiment, bandit
     wide = harness.parse_config(str(ROOT / "perfbench/configs/wide.ini"))

@@ -5,9 +5,10 @@
 Six cells: P of about 150, 12k and 80k parameters, each with C = 1
 output (Gaussian regression, set up as ``demos/configs/sine.ini``) and
 C = 10 (categorical, set up as ``perfbench/configs/wide.ini``). In each
-cell the DLR filter step (``lrekf``) is composed from the library's own
-functions, in the order the learner and the harness call them, and each
-phase is timed per event:
+cell the DLR filter step (``lrekf``) and the spherical one
+(``lrekf_spherical`` with ``update = svd``) are composed from the
+library's own functions, in the order the learner and the harness call
+them, and each phase is timed per event. The ``lrekf`` phases:
 
 * ``predict``: ``diagonal.predict``, its belief construction included;
 * ``linearize``: ``model.forward`` keeping its pass, then
@@ -19,20 +20,33 @@ phase is timed per event:
   of the dropped columns into the diagonal;
 * ``belief_build``: the posterior ``DlrBelief``.
 
+The ``lrekf_spherical`` phases:
+
+* ``predict``: ``spherical.predict``; ``linearize`` as above;
+* ``svd``: ``spherical.extended_factor`` and ``linalg.thin_svd``;
+* ``eigen_mean``: the innovation check and the mean read off that SVD;
+* ``truncation``: ``spherical.truncate``, the posterior
+  ``SphericalBelief`` included.
+
 Before timing, the first events of each cell run through the composed
-step and through ``learners.LowRankFilterLearner`` side by side; unless
-the prediction and the posterior agree bit for bit, the script exits
-with code 1. Those events are also the cell's warm-up.
+step and through the learner (``learners.LowRankFilterLearner`` or
+``learners.SphericalFilterLearner``) side by side; unless the prediction
+and the posterior agree bit for bit, the script exits with code 1. Those
+events are also the cell's warm-up. The timed events start at event 3,
+while the rank is still filling in the C = 1 cells: the first L events
+there leave dead directions in the posterior.
 
 Each repeat measures every cell in a fresh process. With ``--against
 DIR`` (the root of another checkout) the repeats alternate between this
 checkout and DIR's ``src``, which runs first flipping each repeat, as
 ``tools/seed_table.py`` measures another checkout. The report gives, per
-cell, phase and checkout, the median and quartiles over repeats of the
-mean microseconds per event, the median minor page faults
-(``ru_minflt``) per event, and an environment record. ``--out`` writes
-it as JSON; a table goes to standard output either way. BLAS is pinned
-to one thread before numpy loads.
+cell, method, phase and checkout, the median and quartiles over repeats
+of the mean microseconds per event, the median minor page faults
+(``ru_minflt``) per event, and an environment record; a method whose
+step raises NumericalDegeneracyError in a cell is reported as failed
+there, with the event and the message. ``--out`` writes it as JSON; a
+table goes to standard output either way. BLAS is pinned to one thread
+before numpy loads.
 """
 
 import os
@@ -41,6 +55,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -53,7 +69,11 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-PHASES = ("predict", "linearize", "nll", "nlpd", "woodbury_mean", "truncation", "belief_build")
+PHASES = {  # method: its timed phases
+    "lrekf": ("predict", "linearize", "nll", "nlpd", "woodbury_mean", "truncation",
+              "belief_build"),
+    "lrekf_spherical": ("predict", "linearize", "svd", "eigen_mean", "truncation"),
+}
 NLPD_SAMPLES = 100  # the harness's default
 CHECKED_EVENTS = 3
 
@@ -114,16 +134,20 @@ def events(model, n, seed=0):
         yield x, y
 
 
+def linearize(model, x, mean):
+    """The prediction, and the linearization from the same network pass."""
+    from lrkf import models
+
+    kept = {}
+    y_hat = model.forward(x, mean, keep=kept)
+    return y_hat, models.linearize(model, x, mean, kept)
+
+
 def composed_step(model, cfg, belief, x, y, t, phase):
     """One lrekf event from library calls, each run through ``phase``.
     Returns the prediction and the posterior."""
-    from lrkf import diagonal, linalg, models, predictive
+    from lrkf import diagonal, linalg, predictive
     from lrkf.belief import DlrBelief
-
-    def linearize(mean):
-        kept = {}
-        y_hat = model.forward(x, mean, keep=kept)
-        return y_hat, models.linearize(model, x, mean, kept)
 
     def nll(y_hat):
         if model.family.kind == "categorical":
@@ -142,7 +166,7 @@ def composed_step(model, cfg, belief, x, y, t, phase):
         return ups + np.einsum("ij,ij->i", dropped, dropped), u[:, : cfg.rank]
 
     pred = phase("predict", diagonal.predict, belief, cfg, model.out_dim)
-    y_hat, lin = phase("linearize", linearize, pred.mean)
+    y_hat, lin = phase("linearize", linearize, model, x, pred.mean)
     phase("nll", nll, y_hat)
     phase("nlpd", predictive.mc_predict, pred, model, x, y, NLPD_SAMPLES, [0, t])
     w_ext = phase("truncation", diagonal._extended_factor, pred.low_rank, lin)
@@ -152,35 +176,73 @@ def composed_step(model, cfg, belief, x, y, t, phase):
     return y_hat, phase("belief_build", DlrBelief, mean, diag, factor)
 
 
-def measure_cell(widths, rank, n_events):
-    """Per-event means of one repeat: ``{phase: (us, minflt)}``."""
-    from lrkf.diagonal import initial_belief
-    from lrkf.learners import LowRankFilterLearner
+def composed_spherical_step(model, cfg, belief, x, y, t, phase):
+    """One lrekf_spherical event (``update = svd``) from library calls,
+    each run through ``phase``. Returns the prediction and the posterior."""
+    from lrkf import linalg, spherical
+
+    def svd(pred, lin):
+        return linalg.thin_svd(spherical.extended_factor(pred, lin))
+
+    def eigen_mean(pred, lin, s, u):
+        rhs = lin.jacobian.T @ lin.apply_r_inv(lin.innovation(y))
+        eta, s2 = pred.eta, s * s
+        return pred.mean + (rhs - u @ (s2 / (eta + s2) * (u.T @ rhs))) / eta
+
+    pred = phase("predict", spherical.predict, belief, cfg)
+    y_hat, lin = phase("linearize", linearize, model, x, pred.mean)
+    s, u = phase("svd", svd, pred, lin)
+    mean = phase("eigen_mean", eigen_mean, pred, lin, s, u)
+    # a checkout that fills dead columns takes the basis to fill them from
+    fill = (pred.basis,) if "preferred" in inspect.signature(spherical.truncate).parameters else ()
+    return y_hat, phase("truncation", spherical.truncate, mean, pred.eta, s, u, *fill, cfg.rank,
+                        "update_svd")
+
+
+def state(belief):
+    """A belief's fields as arrays, for a bit-for-bit comparison."""
+    return [np.asarray(getattr(belief, f.name)) for f in dataclasses.fields(belief)]
+
+
+def measure_cell(widths, rank, n_events, method):
+    """Per-event means of one repeat of ``method``: ``{phase: (us, minflt)}``,
+    or ``{"failed": message}`` when a step raises NumericalDegeneracyError."""
+    from lrkf import diagonal, spherical
+    from lrkf.exceptions import NumericalDegeneracyError
+    from lrkf.learners import LowRankFilterLearner, SphericalFilterLearner
 
     model, cfg = build_cell(widths, rank)
-    learner = LowRankFilterLearner(model, cfg, 0)
-    belief = initial_belief(model, cfg, 0)
-    stream = events(model, CHECKED_EVENTS + n_events)
-    for t in range(CHECKED_EVENTS):
-        x, y = next(stream)
-        y_hat, belief = composed_step(model, cfg, belief, x, y, t, untimed)
-        want = learner.predict(x).y_hat
-        learner.observe(x, y)
-        got, ref = (y_hat, belief.mean, belief.diag_precision, belief.low_rank), learner.belief
-        if any(a.tobytes() != b.tobytes() for a, b in zip(
-                got, (want, ref.mean, ref.diag_precision, ref.low_rank))):
-            sys.exit(f"widths {widths}: the composed step differs from the learner at event {t}")
+    learner_cls, init, step = {
+        "lrekf": (LowRankFilterLearner, diagonal.initial_belief, composed_step),
+        "lrekf_spherical": (SphericalFilterLearner, spherical.initial_belief,
+                            composed_spherical_step),
+    }[method]
+    learner = learner_cls(model, cfg, 0)
+    belief = init(model, cfg, 0)
     clock = PhaseClock()
-    for t, (x, y) in enumerate(stream, CHECKED_EVENTS):
-        _, belief = composed_step(model, cfg, belief, x, y, t, clock)
+    try:
+        for t, (x, y) in enumerate(events(model, CHECKED_EVENTS + n_events)):
+            if t >= CHECKED_EVENTS:
+                _, belief = step(model, cfg, belief, x, y, t, clock)
+                continue
+            y_hat, belief = step(model, cfg, belief, x, y, t, untimed)
+            want = learner.predict(x).y_hat
+            learner.observe(x, y)
+            if any(a.tobytes() != b.tobytes() for a, b in zip(
+                    [y_hat, *state(belief)], [want, *state(learner.belief)])):
+                sys.exit(f"widths {widths}, {method}: the composed step differs from the "
+                         f"learner at event {t}")
+    except NumericalDegeneracyError as exc:
+        return {"failed": f"event {t}: {exc}"}
     return {name: (clock.ns[name] / 1e3 / n_events, clock.minflt[name] / n_events)
-            for name in PHASES}
+            for name in PHASES[method]}
 
 
 def worker(src):
-    """One repeat of every cell with the lrkf in ``src``, printed as JSON."""
+    """One repeat of every cell and method with the lrkf in ``src``, printed as JSON."""
     sys.path.insert(0, str(src))
-    print(json.dumps([measure_cell(*cell) for cell in CELLS]))
+    print(json.dumps([{method: measure_cell(*cell, method) for method in PHASES}
+                      for cell in CELLS]))
 
 
 def commit(root):
@@ -240,15 +302,22 @@ def main(argv=None):
     cells = []
     for i, (widths, rank, n_events) in enumerate(CELLS):
         p = sum((a + 1) * b for a, b in zip(widths[:-1], widths[1:]))
-        phases = {name: {side: summary(*zip(*(rep[i][name] for rep in reps)))
-                         for side, reps in runs.items()} for name in PHASES}
+        methods = {}
+        for method, names in PHASES.items():
+            got = {side: [rep[i][method] for rep in reps] for side, reps in runs.items()}
+            failed = {side: r["failed"] for side, rs in got.items() for r in rs if "failed" in r}
+            methods[method] = {"failed": failed} if failed else {
+                name: {side: summary(*zip(*(r[name] for r in rs))) for side, rs in got.items()}
+                for name in names}
         cells.append({"P": p, "C": widths[-1], "L": rank, "widths": list(widths),
                       "family": "gaussian" if widths[-1] == 1 else "categorical",
-                      "timed_events": n_events, "checked_events": CHECKED_EVENTS, "phases": phases})
+                      "timed_events": n_events, "checked_events": CHECKED_EVENTS,
+                      "methods": methods})
     report = {
         "script": "bench/north_star.py",
-        "method": "lrekf, composed from library calls and checked bit for bit against "
-                  "learners.LowRankFilterLearner",
+        "method": "lrekf and lrekf_spherical (update = svd), composed from library calls "
+                  "and checked bit for bit against learners.LowRankFilterLearner and "
+                  "learners.SphericalFilterLearner",
         "units": {"us": "microseconds per event: the mean over one repeat's timed events",
                   "minflt": "minor page faults per event (ru_minflt)"},
         "repeats": args.repeats,
@@ -266,12 +335,17 @@ def print_table(report):
     sides = list(report["checkouts"])
     head = "".join(f"{side + ' us':>14s}" for side in sides)
     head += "".join(f"{side + ' minflt':>16s}" for side in sides)
-    print(f"{'P':>7s} {'C':>3s} {'phase':14s}{head}")
+    print(f"{'P':>7s} {'C':>3s} {'method':16s}{'phase':14s}{head}")
     for cell in report["cells"]:
-        for name, by_side in cell["phases"].items():
-            row = "".join(f"{by_side[side]['us_median']:14.1f}" for side in sides)
-            row += "".join(f"{by_side[side]['minflt_median']:16.1f}" for side in sides)
-            print(f"{cell['P']:7d} {cell['C']:3d} {name:14s}{row}")
+        for method, phases in cell["methods"].items():
+            if "failed" in phases:
+                failed = [f"{side} failed at {msg}" for side, msg in phases["failed"].items()]
+                print(f"{cell['P']:7d} {cell['C']:3d} {method:16s}{'; '.join(failed)}")
+                continue
+            for name, by_side in phases.items():
+                row = "".join(f"{by_side[side]['us_median']:14.1f}" for side in sides)
+                row += "".join(f"{by_side[side]['minflt_median']:16.1f}" for side in sides)
+                print(f"{cell['P']:7d} {cell['C']:3d} {method:16s}{name:14s}{row}")
 
 
 if __name__ == "__main__":

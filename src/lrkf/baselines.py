@@ -305,4 +305,4 @@ def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank):
 
     mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)
     w_ext = extended_factor(belief_pred, lin)
-    return truncate(mu, eta, *thin_svd(w_ext), belief_pred.basis, rank, "iterated_lowrank_update")
+    return truncate(mu, eta, *thin_svd(w_ext), rank, "iterated_lowrank_update")

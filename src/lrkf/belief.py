@@ -5,7 +5,8 @@ Three parameterizations of ``N(mean, precision^-1)``, and one of ``N(mean, cov)`
 * :class:`DlrBelief` stores the precision as ``diag(d) + W W^T`` with a
   P-vector ``d`` and a P x L factor ``W``. Memory is O(P L).
 * :class:`SphericalBelief` restricts the diagonal part to ``eta * I`` and
-  keeps the factor in factored form ``U diag(lam)`` with orthonormal ``U``.
+  keeps the factor in factored form ``U diag(lam)``, the columns of ``U``
+  with ``lam > 0`` orthonormal.
 * :class:`DenseBelief` stores the full P x P precision, as the small-P
   oracle :func:`dlr_to_dense` returns it. :class:`DenseCovBelief` stores
   the full P x P covariance: the state of the full-covariance EKF baselines.
@@ -15,11 +16,14 @@ instance, so they are safe to share between threads.
 
 Construction validates. A DLR belief checks its shapes and a finite,
 positive diagonal (one min, one max). A spherical belief checks ``eta``,
-finite singular values >= 0 sorted non-increasing, and an orthonormal
-basis by a P x L Gram. Only :meth:`SphericalBelief.on_same_basis`, used by
-the spherical drift and inflation, skips that Gram; the updates,
-:func:`lrkf.spherical.truncate`, :func:`load_belief` and a caller's belief
-run it.
+finite singular values >= 0 sorted non-increasing, and orthonormal live
+columns (those with a singular value > 0, a prefix) by their Gram; a dead
+column adds nothing to the precision and is not checked. Only
+:meth:`SphericalBelief.on_same_basis`, used by the spherical drift and
+inflation, skips that Gram; the updates, :func:`lrkf.spherical.truncate`,
+:func:`load_belief` and a caller's belief run it. Both then check that the
+mean is finite, by one sum, so a non-finite mean fails the step that made
+it.
 """
 
 import math
@@ -35,7 +39,14 @@ from .linalg import chol_or_raise, thin_svd
 # conversions and the dense sampling oracle. No production path uses them.
 DENSE_ORACLE_LIMIT = 200
 
-_min, _max, _all = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce
+_min, _max, _all, _sum = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce, np.add.reduce
+
+
+def _check_mean(mean):
+    """One sum: every NaN and infinity makes it non-finite (so does a sum
+    past the float range, which no usable mean reaches)."""
+    if not math.isfinite(_sum(mean)):
+        raise ValueError("mean entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,7 @@ class DlrBelief:
             )
         if diag.size and not (_min(diag) > 0.0 and _max(diag) < math.inf):  # a NaN min fails
             raise ValueError("diag_precision entries must be finite and > 0")
+        _check_mean(mean)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "diag_precision", diag)
         object.__setattr__(self, "low_rank", low)
@@ -91,8 +103,11 @@ class DlrBelief:
 class SphericalBelief:
     """Gaussian with precision ``eta * I + U diag(lam)^2 U^T``.
 
-    ``basis`` has orthonormal columns and ``singular_values`` is sorted
-    non-increasing with all entries finite and >= 0.
+    ``singular_values`` is sorted non-increasing with all entries finite
+    and >= 0, so the live columns of ``basis`` (``lam > 0``) are a prefix,
+    and those are orthonormal. A dead column (``lam = 0``) adds nothing to
+    the precision and may hold anything; the initial belief and the SVD
+    truncation leave it zero.
     """
 
     mean: np.ndarray
@@ -113,12 +128,13 @@ class SphericalBelief:
         # one comparison each: every NaN and every infinity fails one of them
         if lam.size and not (lam[-1] >= 0.0 and lam[0] < math.inf and _all(lam[:-1] >= lam[1:])):
             raise ValueError("singular_values must be finite, >= 0 and non-increasing")
-        rank = basis.shape[1]
-        if rank and check_basis:
-            gram = basis.T @ basis
-            gram.flat[:: rank + 1] -= 1.0
+        if check_basis and (live := np.count_nonzero(lam)):  # a prefix: lam is sorted, >= 0
+            u = basis[:, :live]
+            gram = u.T @ u
+            gram.flat[:: live + 1] -= 1.0
             if np.abs(gram).max() > 1e-8:
                 raise ValueError("basis columns are not orthonormal")
+        _check_mean(mean)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "basis", basis)
@@ -288,4 +304,4 @@ def load_belief(path):
         return DlrBelief(mean, diag, np.asfortranarray(w))
     from .spherical import truncate  # deferred: avoids import cycle
 
-    return truncate(mean, diag[0], *thin_svd(w), np.zeros((p, 0)), rank, "load_belief")
+    return truncate(mean, diag[0], *thin_svd(w), rank, "load_belief")

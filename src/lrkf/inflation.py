@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import DlrBelief
+from .belief import DlrBelief, validated
 from .linalg import woodbury_mean
 
 VARIANTS = ("none", "bayesian", "simple", "hybrid")
@@ -64,20 +64,21 @@ def inflate_dlr(belief, cfg, eta_latent):
     """
     if cfg.variant == "none" or cfg.alpha == 0.0:
         return belief
-    a = cfg.alpha
+    a, what = cfg.alpha, f"{cfg.variant} inflation"
     shrink = 1.0 / (1.0 + a)
     w = belief.low_rank * np.sqrt(shrink)
     if cfg.variant == "simple":
-        return DlrBelief(belief.mean, belief.diag_precision * shrink, w)
+        return validated(what, DlrBelief, belief.mean, belief.diag_precision * shrink, w)
     diag = belief.diag_precision * shrink + a * eta_latent * shrink
     if cfg.variant == "hybrid":
-        return DlrBelief(belief.mean, diag, w)
+        return validated(what, DlrBelief, belief.mean, diag, w)
     # bayesian: also pull the mean toward the decayed prior mean
     if cfg.prior_mean_ref is None:
         raise ValueError("bayesian inflation needs prior_mean_ref")
     target = cfg.gamma_product * np.asarray(cfg.prior_mean_ref, dtype=float)
     rhs = (a * eta_latent * shrink) * (target - belief.mean)
-    return DlrBelief(woodbury_mean(belief.mean, diag, w, rhs), diag, w)
+    mean = woodbury_mean(belief.mean, diag, w, rhs)
+    return validated(what, DlrBelief, mean, diag, w)
 
 
 def inflate_spherical(belief, cfg):
@@ -89,16 +90,17 @@ def inflate_spherical(belief, cfg):
     """
     if cfg.variant == "none" or cfg.alpha == 0.0:
         return belief
-    a = cfg.alpha
+    a, what = cfg.alpha, f"{cfg.variant} inflation"
     lam = belief.singular_values / np.sqrt(1.0 + a)
     if cfg.variant == "simple":
-        return belief.on_same_basis(belief.mean, belief.eta / (1.0 + a), lam)
+        return validated(what, belief.on_same_basis, belief.mean, belief.eta / (1.0 + a), lam)
     if cfg.variant == "hybrid":
-        return belief.on_same_basis(belief.mean, belief.eta, lam)
+        return validated(what, belief.on_same_basis, belief.mean, belief.eta, lam)
     # bayesian: the pull solves against eta I + U diag(lam)^2 U^T
     if cfg.prior_mean_ref is None:
         raise ValueError("bayesian inflation needs prior_mean_ref")
     eta = belief.eta
     target = cfg.gamma_product * np.asarray(cfg.prior_mean_ref, dtype=float)
     rhs = (a * eta / (1.0 + a)) * (target - belief.mean)
-    return belief.on_same_basis(woodbury_mean(belief.mean, eta, belief.basis * lam, rhs), eta, lam)
+    mean = woodbury_mean(belief.mean, eta, belief.basis * lam, rhs)
+    return validated(what, belief.on_same_basis, mean, eta, lam)

@@ -15,56 +15,29 @@ values move, elementwise. The update step offers two flavors:
 
 :func:`truncate` also ends the iterated update and loads a checkpoint.
 
+A direction whose singular value is 0 is dead: it adds nothing to the
+precision, and its basis column is not checked (see
+:class:`~lrkf.belief.SphericalBelief`). The initial belief and the SVD
+truncation leave dead columns at zero, as the DLR filter's dead factor
+columns are, and no step fills them with placeholders.
+
 Because any data-driven change to the diagonal would break sphericity,
 ``eta`` evolves only through the drift dynamics.
 """
 
-from itertools import chain
-
 import numpy as np
 
 from .belief import SphericalBelief, validated
-from .exceptions import NumericalDegeneracyError
 from .linalg import thin_svd, woodbury_mean
 from .models import initialize_mean
 
 
-def complete_basis(u_part, preferred, rank):
-    """Extend orthonormal columns ``u_part`` to exactly ``rank`` columns.
-
-    Filler directions are drawn first from ``preferred`` (e.g. the
-    previous basis), then from identity columns made one at a time (no
-    P x P array), each orthogonalized against the kept block ``K`` by two
-    passes of ``v -= K (K^T v)``. Deterministic. Returns a new C-ordered
-    array: a copy of ``u_part`` when it already has ``rank`` columns.
-    """
-    p, n = u_part.shape
-    out = np.zeros((p, max(n, rank)))
-    out[:, :n] = u_part
-    candidates = chain(preferred.T, (np.eye(1, p, j)[0] for j in range(p)))
-    while n < rank:
-        v = next(candidates, None)
-        if v is None:
-            raise NumericalDegeneracyError("cannot complete orthonormal basis")
-        kept = out[:, :n]
-        v = v - kept @ (kept.T @ v)
-        v -= kept @ (kept.T @ v)  # second pass keeps orthogonality tight after heavy cancellation
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            out[:, n] = v / norm
-            n += 1
-    return out
-
-
 def initial_belief(model, cfg, rng_seed):
-    """LeCun-normal mean, eta0 from the config, zero singular values.
-
-    The basis starts as the first L identity columns; it carries no
-    information while the singular values are zero but keeps the
-    orthonormality invariant satisfied.
-    """
+    """LeCun-normal mean, eta0 from the config, and L dead directions: a
+    zero basis with zero singular values, as :func:`lrkf.diagonal.initial_belief`
+    starts from a zero factor."""
     mean = initialize_mean(model.spec, rng_seed)
-    basis = np.eye(mean.shape[0], cfg.rank)
+    basis = np.zeros((mean.shape[0], cfg.rank))
     return SphericalBelief(mean, cfg.dynamics.initial_precision, basis, np.zeros(cfg.rank))
 
 
@@ -100,13 +73,13 @@ def extended_factor(belief_pred, lin):
     return w_ext
 
 
-def truncate(mean, eta, s, u, preferred, rank, what):
+def truncate(mean, eta, s, u, rank, what):
     """Spherical belief from the top-``rank`` pairs ``(s, u)`` of a
-    :func:`~lrkf.linalg.thin_svd`; zero directions (a suffix, as its dead
-    columns are) are refilled from ``preferred``."""
-    lam = s[:rank]
-    basis = complete_basis(u[:, : np.count_nonzero(lam)], preferred, rank)
-    return validated(f"spherical {what}", SphericalBelief, mean, eta, basis, lam)
+    :func:`~lrkf.linalg.thin_svd`, the basis a C-ordered copy of U's first
+    ``rank`` columns. A dead pair (s = 0) stays dead: its column is zero,
+    as :func:`~lrkf.linalg.thin_svd` returns it."""
+    basis = np.array(u[:, :rank], order="C")
+    return validated(f"spherical {what}", SphericalBelief, mean, eta, basis, s[:rank])
 
 
 def update_svd(belief_pred, lin, y, cfg):
@@ -118,7 +91,7 @@ def update_svd(belief_pred, lin, y, cfg):
     s, u = thin_svd(extended_factor(belief_pred, lin))
     eta, s2 = belief_pred.eta, s * s
     mean = belief_pred.mean + (rhs - u @ (s2 / (eta + s2) * (u.T @ rhs))) / eta
-    return truncate(mean, eta, s, u, belief_pred.basis, cfg.rank, "update_svd")
+    return truncate(mean, eta, s, u, cfg.rank, "update_svd")
 
 
 def svd_orth(lam, basis, grads, rng_seed):
@@ -130,7 +103,8 @@ def svd_orth(lam, basis, grads, rng_seed):
     active basis (columns whose singular value is > 0) and replaces the
     weakest slot when its residual norm is strictly larger than the
     current minimum singular value. Returns (lam, basis) sorted
-    non-increasing; the basis stays orthonormal.
+    non-increasing. The live columns stay orthonormal; a dead slot
+    (lam = 0) keeps the column it had until a newcomer takes it.
     """
     lam = np.array(lam, dtype=float, copy=True)
     basis = np.array(basis, dtype=float, copy=True)
@@ -145,12 +119,7 @@ def svd_orth(lam, basis, grads, rng_seed):
             basis[:, slot] = v / norm
             lam[slot] = norm
     order = np.argsort(-lam, kind="stable")
-    lam, basis = lam[order], basis[:, order]
-    if np.any(lam == 0):
-        # idle slots (zero singular value) are placeholders; rebuild them
-        # orthonormal to the active directions
-        basis = complete_basis(basis[:, lam > 0], basis[:, lam == 0], lam.size)
-    return lam, basis
+    return lam[order], basis[:, order]
 
 
 def update_orth(belief_pred, lin, y, cfg, rng_seed):

@@ -47,6 +47,9 @@ def test_dlr_rejects_bad_shapes_and_values():
         DlrBelief(np.zeros(2), np.array([1.0, 0.0]), np.zeros((2, 0)))
     with pytest.raises(ValueError):
         DlrBelief(np.zeros(2), np.array([1.0, np.inf]), np.zeros((2, 0)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="mean entries must be finite"):
+            DlrBelief(np.array([0.0, bad]), np.ones(2), np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -2.0])
@@ -95,6 +98,26 @@ def test_spherical_invariants_enforced():
         SphericalBelief(np.zeros(20), 1.0, q, [np.inf, 2.0, 1.0])
     with pytest.raises(ValueError, match="singular_values must be finite"):
         SphericalBelief(np.zeros(20), 1.0, q[:, :1], [np.nan])
+    for bad in (np.nan, np.inf, -np.inf):
+        mean = np.zeros(20)
+        mean[3] = bad
+        with pytest.raises(ValueError, match="mean entries must be finite"):
+            SphericalBelief(mean, 1.0, q, [2.0, 1.0, 0.0])
+    b = SphericalBelief(np.zeros(20), 1.0, q, [2.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="mean entries must be finite"):
+        b.on_same_basis(np.full(20, np.nan), b.eta, b.singular_values)  # the drift's check
+
+
+def test_spherical_checks_only_its_live_columns():
+    # a column whose singular value is 0 adds nothing to the precision and
+    # goes unchecked; a live one (lam > 0) is checked
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((6, 2)))[0]
+    basis = np.column_stack([q, np.full(6, 3.0)])  # the last column neither unit nor orthogonal
+    b = SphericalBelief(np.zeros(6), 1.0, basis, [2.0, 1.0, 0.0])
+    w = q * [2.0, 1.0]
+    assert spherical_to_dense(b).precision == pytest.approx(np.eye(6) + w @ w.T, abs=1e-12)
+    with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+        SphericalBelief(np.zeros(6), 1.0, basis, [2.0, 1.0, 1e-300])
 
 
 def test_caller_built_spherical_belief_checks_the_basis_it_is_given():

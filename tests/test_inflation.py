@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lrkf.belief import dlr_to_dense, spherical_to_dense
+from lrkf.exceptions import NumericalDegeneracyError
 from lrkf.inflation import InflationConfig, LatentPrior, inflate_dlr, inflate_spherical
 
 from conftest import random_dlr, random_spherical
@@ -120,6 +121,18 @@ class TestSpherical:
         else:
             assert np.max(np.abs(spherical_to_dense(out).precision - exp_prec)) <= 1e-10
         assert np.max(np.abs(out.mean - exp_mean)) <= 1e-10
+
+
+@pytest.mark.parametrize("spherical", [False, True])
+def test_non_finite_pulled_mean_is_a_numerical_degeneracy(spherical):
+    # an infinite prior mean pulls the mean off the float range; the
+    # inflated belief's check fails the inflation step, not the run
+    b = random_spherical(4, 1, seed=3) if spherical else random_dlr(4, 1, seed=3)
+    cfg = InflationConfig(alpha=0.5, variant="bayesian", prior_mean_ref=np.array([0, np.inf, 0, 0]),
+                          gamma_product=1.0)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericalDegeneracyError, match="bayesian inflation: mean entries must be finite"):
+        inflate_spherical(b, cfg) if spherical else inflate_dlr(b, cfg, eta_latent=0.8)
 
 
 def test_latent_prior_recursion():

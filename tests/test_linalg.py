@@ -50,6 +50,15 @@ class TestThinSvd:
         assert_valid_thin_svd(w, s, u)
         assert np.count_nonzero(s) == 3
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    def test_rank_three_product_is_zero_past_rank_three(self):
+        # the Gram route's noise floor, about 1e-8 s[0], stays live: the
+        # values past rank 3 come back as 1.5e-8, 1.0e-8 and 5.6e-9 times s[0]
+        rng = np.random.default_rng(0)
+        s, u = thin_svd(rng.standard_normal((40, 3)) @ rng.standard_normal((3, 6)))
+        np.testing.assert_array_equal(s[3:], 0.0)
+        np.testing.assert_array_equal(u[:, 3:], 0.0)
+
     def test_zero_matrix(self):
         s, u = thin_svd(np.zeros((10, 4)))
         np.testing.assert_array_equal(s, 0.0)

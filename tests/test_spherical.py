@@ -1,5 +1,3 @@
-import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,6 @@ from lrkf.exceptions import NumericalDegeneracyError
 from lrkf.linalg import thin_svd, woodbury_mean
 from lrkf.models import Linearization
 from lrkf.spherical import (
-    complete_basis,
     initial_belief,
     predict,
     svd_orth,
@@ -33,6 +30,12 @@ def orthonormality_error(basis):
     if basis.shape[1] == 0:
         return 0.0
     return np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1])))
+
+
+def live_columns(lam, basis):
+    """The columns whose singular value is > 0 (a prefix), and the rest."""
+    live = np.count_nonzero(lam)
+    return basis[:, :live], basis[:, live:]
 
 
 class TestPredict:
@@ -224,7 +227,7 @@ class TestSvdOrth:
         out_lam, out_basis = svd_orth(lam, basis, g.reshape(-1, 1), rng_seed=0)
         assert out_lam[0] == pytest.approx(3.0)
         assert out_basis[:, 0] == pytest.approx(g / 3.0)
-        assert orthonormality_error(out_basis) <= 1e-8
+        assert orthonormality_error(live_columns(out_lam, out_basis)[0]) <= 1e-8
 
     def test_hand_traced_replacement_decisions(self):
         # deterministic trace: follow the algorithm by hand for seed 7
@@ -324,45 +327,21 @@ class TestUpdateOrth:
         for ev in events:
             learner.predict(ev.x)
             learner.observe(ev.x, ev.y)
-            worst = max(worst, orthonormality_error(learner.belief.basis))
+            live, dead = live_columns(learner.belief.singular_values, learner.belief.basis)
+            worst = max(worst, orthonormality_error(live))
+            assert not dead.any()
         assert len(events) == 1250
         assert worst <= 1e-8
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_complete_basis_with_rank_columns_is_a_fresh_column_stack(order):
-    u = np.array(np.linalg.qr(np.random.default_rng(3).standard_normal((9, 4)))[0], order=order)
-    got = complete_basis(u, np.eye(9)[:, :2], 4)
-    assert np.array_equal(got, np.column_stack([u[:, j] for j in range(4)]))
-    assert got.flags.c_contiguous
-    assert not np.shares_memory(got, u)
-
-
-def test_complete_basis_fills_deterministically():
-    u = np.eye(5)[:, :1]
-    filled = complete_basis(u, np.zeros((5, 0)), 3)
-    assert filled.shape == (5, 3)
-    assert orthonormality_error(filled) <= 1e-12
-    again = complete_basis(u, np.zeros((5, 0)), 3)
-    assert np.array_equal(filled, again)
-
-
-def test_complete_basis_at_large_p_builds_no_p_by_p_array():
-    p = 200_000
-    u = np.random.default_rng(4).standard_normal((p, 1))
-    u /= np.linalg.norm(u)
-    tracemalloc.start()
-    start = time.perf_counter()
-    filled = complete_basis(u, np.zeros((p, 0)), 4)
-    elapsed = time.perf_counter() - start
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 20 * p * 8  # a P x P array would take 3.2e11 bytes
-    assert elapsed < 1.0
-    assert filled.shape == (p, 4)
-    assert np.array_equal(filled[:, 0], u[:, 0])
-    assert orthonormality_error(filled) <= 1e-12
-    assert np.array_equal(filled, complete_basis(u, np.zeros((p, 0)), 4))
+def test_truncate_takes_a_c_ordered_copy_of_the_leading_columns():
+    w = np.zeros((9, 6))
+    w[:, [1, 4]] = np.random.default_rng(3).standard_normal((9, 2))
+    s, u = thin_svd(w)  # column-contiguous, its four dead columns zero
+    b = spherical.truncate(np.zeros(9), 1.0, s, u, 4, "test")
+    assert np.array_equal(b.basis, u[:, :4]) and np.array_equal(b.singular_values, s[:4])
+    assert b.basis.flags.c_contiguous and not np.shares_memory(b.basis, u)
+    assert np.count_nonzero(b.singular_values) == 2 and not b.basis[:, 2:].any()
 
 
 def test_initial_belief_shape():
@@ -373,4 +352,4 @@ def test_initial_belief_shape():
     b = initial_belief(model, cfg, rng_seed=1)
     assert b.eta == 4.0
     assert b.singular_values == pytest.approx(np.zeros(3))
-    assert orthonormality_error(b.basis) == 0.0
+    assert b.basis.shape == (b.dim, 3) and not b.basis.any()

@@ -6,9 +6,12 @@ Runs ``demos/configs/sine.ini`` as shipped (``lrekf``), with
 ``name = lrekf_spherical``, ``vdekf`` and ``fdekf``, under ``lrekf``
 with ``metrics = rmse nll nlpd``, under ``lrekf_spherical`` with
 ``update = orth``, under ``ilrekf`` on a stream of 100 steps per task,
-and with ``[model] activation = relu`` under ``lrekf`` and ``vdekf`` on
-that shorter stream; ``demos/configs/bandit.ini``; and the benchmark's
-categorical ``perfbench/configs/wide.ini`` (read, not changed). The other runs keep
+under ``lrekf_spherical`` with ``metrics = rmse nll nlpd`` on that
+shorter stream (the sampler reads the spherical basis from the first
+event on, while its dead columns are being filled), and with
+``[model] activation = relu`` under ``lrekf`` and ``vdekf`` on it;
+``demos/configs/bandit.ini``; and the benchmark's categorical
+``perfbench/configs/wide.ini`` (read, not changed). The other runs keep
 their shipped length. Each runs into its own temporary directory, and
 the script prints one ``sha256 path`` line per CSV written (``path``
 relative to that run's output directory, prefixed by the run's name).
@@ -51,6 +54,8 @@ def runs():
         sine, method="lrekf_spherical", method_params=orth)
     short = replace(sine, stream={**sine.stream, "steps_per_task": 100})
     yield "sine-ilrekf", harness.run_experiment, replace(short, method="ilrekf")
+    yield "sine-lrekf_spherical-nlpd", harness.run_experiment, replace(
+        short, method="lrekf_spherical", metrics=("rmse", "nll", "nlpd"))
     relu = replace(short, model={**short.model, "activation": "relu"})
     for method in ("lrekf", "vdekf"):
         yield f"sine-relu-{method}", harness.run_experiment, replace(relu, method=method)

@@ -98,7 +98,7 @@ class FilterBanditAgent(_Agent):
     def learn(self, x, action, reward):
         pred = self.learner.predicted_belief()
         lin = masked_reward_linearization(self.model, x, pred.mean, action)
-        self.learner.apply_update(pred, lin, np.array([reward]))
+        self.learner.apply_update(pred, lin, np.array([reward]), x)
 
 
 class SgdBanditAgent(_Agent):

@@ -4,17 +4,18 @@
   :class:`~lrkf.belief.DenseCovBelief`, exact up to linearization, with no
   matrix inverse. It doubles as the dense oracle in tests.
 * :func:`fdekf_step` and :func:`vdekf_step` keep only a diagonal: each
-  conditions the belief of :func:`diagonal_predict` on one linearization.
-  VDEKF matches the diagonal of the posterior precision, FDEKF
-  moment-matches the diagonal of the posterior covariance via the rank-C
-  correction. :class:`DiagonalBelief` is the rank-0
-  :class:`~lrkf.belief.DlrBelief`.
+  conditions a rank-0 belief, drifted by :func:`lrkf.diagonal.predict`,
+  on one linearization. VDEKF matches the diagonal of the posterior
+  precision, FDEKF moment-matches the diagonal of the posterior
+  covariance via the rank-C correction. :class:`DiagonalBelief` is the
+  rank-0 :class:`~lrkf.belief.DlrBelief`.
 * :func:`sgd_replay_step` is stochastic gradient descent over a FIFO
   replay buffer (online gradient descent when the buffer holds one item),
   with plain SGD or Adam, on a given per-example gradient.
-* :func:`iterated_ekf_update` and :func:`iterated_lowrank_update`
-  relinearize the observation several times within one update, each mean
-  move scaled by a grid line search on the quadratic energy
+* :func:`iterated_ekf_update` and :func:`iterated_lowrank_update` start
+  from the learner's linearization at the predicted mean and relinearize
+  the observation at each later pass within one update, each mean move
+  scaled by a grid line search on the quadratic energy
   ``0.5 * ||whitened residual||^2``; one loop serves both.
 
 Every update checks its innovation with ``Linearization.innovation``; the
@@ -93,12 +94,6 @@ def fcekf_step(belief, model, x, y, dyn):
 # ---------------------------------------------------------------------------
 # Diagonal EKFs
 # ---------------------------------------------------------------------------
-
-def diagonal_predict(belief, dyn):
-    g, q = dyn.gamma, dyn.process_noise
-    return validated("diagonal_predict", DiagonalBelief,
-                     g * belief.mean, 1.0 / (g * g / belief.diag_precision + q))
-
 
 def _diagonal_mean_update(belief_pred, lin, y):
     """Gain form K = Ups^-1 H^T (H Ups^-1 H^T + R)^+ shared by both filters.
@@ -234,11 +229,12 @@ class IteratedConfig:
             raise ValueError("linesearch_grid must be >= 1")
 
 
-def _iterate(model, x, y, mu_pred, prior_energy, step, icfg):
+def _iterate(lin, model, x, y, mu_pred, prior_energy, step, icfg):
     """Each pass steps by ``step(lin, innov, mu_pred - mu)``, line-searched
-    on the energy; returns the mean and the last linearization."""
+    on the energy; the first uses ``lin``, the linearization at
+    ``mu_pred``, and each later one relinearizes at the moved mean.
+    Returns the mean and the last linearization."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    lin = linearize(model, x, mu_pred)
     whitener = lin.whitener
 
     def cost(mu):
@@ -263,8 +259,9 @@ def _iterate(model, x, y, mu_pred, prior_energy, step, icfg):
     return mu, lin
 
 
-def iterated_ekf_update(belief_pred, model, x, y, icfg):
-    """Iterated EKF update: relinearize, step, line-search, repeat.
+def iterated_ekf_update(belief_pred, lin, model, x, y, icfg):
+    """Iterated EKF update: step, line-search, relinearize, repeat, from
+    ``lin``, the linearization at ``belief_pred.mean``.
 
     The energy being decreased is ``0.5 (||A (y - h(mu))||^2 +
     ||L^-1 (mu_pred - mu)||^2)``, with ``L L^T`` the prior covariance. The
@@ -279,12 +276,13 @@ def iterated_ekf_update(belief_pred, model, x, y, icfg):
     def step(lin, innov, d):
         return d + innov @ _dense_gain(belief_pred.cov, lin)[1]
 
-    mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)
+    mu, lin = _iterate(lin, model, x, y, belief_pred.mean, prior_energy, step, icfg)
     return _dense_posterior(mu, belief_pred.cov, *_dense_gain(belief_pred.cov, lin))
 
 
-def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank):
-    """Iterated update for the spherical low-rank filter.
+def iterated_lowrank_update(belief_pred, lin, model, x, y, icfg, rank):
+    """Iterated update for the spherical low-rank filter, from ``lin``,
+    the linearization at ``belief_pred.mean``.
 
     Each pass rebuilds the extended factor from the predicted basis,
     moves the mean by the Woodbury solve of the diagonal filter and
@@ -303,6 +301,6 @@ def iterated_lowrank_update(belief_pred, model, x, y, icfg, rank):
         w_ext = extended_factor(belief_pred, lin)
         return woodbury_mean(d, eta, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
 
-    mu, lin = _iterate(model, x, y, belief_pred.mean, prior_energy, step, icfg)
+    mu, lin = _iterate(lin, model, x, y, belief_pred.mean, prior_energy, step, icfg)
     w_ext = extended_factor(belief_pred, lin)
     return truncate(mu, eta, *thin_svd(w_ext), rank, "iterated_lowrank_update")

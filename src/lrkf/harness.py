@@ -13,6 +13,7 @@ import configparser
 import csv
 import os
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -210,7 +211,10 @@ def run_experiment(cfg):
 
     Returns a dict with per-seed status; the CLI exits nonzero unless all
     seeds completed. Worker count comes from the LRKF_WORKERS env var;
-    results are merged in seed order either way.
+    results are merged in seed order either way. A file an earlier run into
+    the same directory left and this run does not write is removed: a
+    failed seed's ``metrics_seed<k>.csv``, ``summary.csv`` when no seed
+    completed, ``failures.txt`` when none failed.
     """
     problems = validate_config(cfg, "run")
     if problems:
@@ -233,6 +237,7 @@ def run_experiment(cfg):
     for seed, (rows, err) in zip(cfg.seeds, results):
         if err is not None:
             errors[seed] = err
+            Path(cfg.output, f"metrics_seed{seed}.csv").unlink(missing_ok=True)
             continue
         decorated = [dict(r, seed=seed, method=cfg.method) for r in rows]
         rows_by_seed[seed] = rows
@@ -241,16 +246,20 @@ def run_experiment(cfg):
         fh.writelines((METRIC_HEADER, *bodies))
     if rows_by_seed:
         write_summary_csv(os.path.join(cfg.output, "summary.csv"), rows_by_seed, cfg.method)
+    else:
+        Path(cfg.output, "summary.csv").unlink(missing_ok=True)
     _write_failures(cfg.output, errors)
     return {"completed": sorted(rows_by_seed), "failed": errors}
 
 
 def _write_failures(output, errors):
-    """``failures.txt``, one line per failed seed, when any seed failed."""
+    """``failures.txt``, one line per failed seed, when any seed failed;
+    otherwise an earlier run's ``failures.txt`` is removed."""
+    path = Path(output, "failures.txt")
     if errors:
-        with open(os.path.join(output, "failures.txt"), "w") as fh:
-            for seed, err in sorted(errors.items()):
-                fh.write(f"seed {seed}: {err}\n")
+        path.write_text("".join(f"seed {seed}: {err}\n" for seed, err in sorted(errors.items())))
+    else:
+        path.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +360,8 @@ def run_bandit_experiment(cfg):
 
     Returns ``{"totals": {seed: total reward}, "failed": {seed: error}}``;
     a seed that fails numerically is left out of the CSV and recorded in
-    ``failures.txt``, as in :func:`run_experiment`."""
+    ``failures.txt``, as in :func:`run_experiment`; when no seed fails, a
+    ``failures.txt`` an earlier run left is removed."""
     from .bandit import FilterBanditAgent, SgdBanditAgent, env_from_stream, run_bandit
 
     problems = bandit_problems(cfg)

@@ -8,13 +8,17 @@ A learner owns its belief (or parameter vector) and exposes two calls:
   belief.
 * ``observe(x, y)`` consumes one labeled example and advances the state.
 
-Every filter, the diagonal EKFs included, is a Bayesian learner: it
-supplies ``_predict_belief`` and ``_update`` and computes its predicted
-belief once per state. The belief returned by ``predicted_belief()`` is
-cached and shared by ``predict()``, ``observe()`` and the bandit agent's
-``act()`` and ``learn()`` until the state changes, and so is the network
-pass ``predict()`` makes, which ``observe()`` linearizes from. Every state
-change goes through ``_commit``, which drops both.
+Every filter, the diagonal and iterated EKFs included, is a Bayesian
+learner: it supplies ``_predict_belief`` and ``_update(pred, lin, y, x)``
+and computes its predicted belief once per state. The belief returned by
+``predicted_belief()`` is cached and shared by ``predict()``,
+``observe()`` and the bandit agent's ``act()`` and ``learn()`` until the
+state changes, and so is the network pass ``predict()`` makes. The one
+``observe`` linearizes from that pass, and the iterated filters
+relinearize at ``x`` from there. Every state change goes through
+``_commit``, which drops both. Three classes bind ``observe`` (one also
+``predict``) again only because perfbench's tracer pins the names each
+class defines itself, until ROADMAP item 8 Part B.
 
 The module-level ``REGISTRY`` maps each method tag to its factory and
 capabilities; the config keys each method reads are in :mod:`lrkf.schema`.
@@ -66,16 +70,15 @@ class _BayesianLearner:
         pred = self.predicted_belief()
         return PredictOutput(self.model.forward(x, pred.mean, keep=self._kept), pred)
 
-    def apply_update(self, pred, lin, y):
-        """Condition on one (possibly masked) linearized observation and
-        advance the learner's clock. ``pred`` must come from
-        :meth:`predicted_belief` this step."""
-        self._commit(self._update(pred, lin, y))
+    def apply_update(self, pred, lin, y, x):
+        """Condition on one (possibly masked) linearization at ``pred.mean``
+        and context ``x``, and advance the learner's clock. ``pred`` must
+        come from :meth:`predicted_belief` this step."""
+        self._commit(self._update(pred, lin, y, x))
 
     def observe(self, x, y):
         pred = self.predicted_belief()
-        lin = linearize(self.model, x, pred.mean, self._kept)
-        self.apply_update(pred, lin, y)
+        self.apply_update(pred, linearize(self.model, x, pred.mean, self._kept), y, x)
 
     def _commit(self, belief):
         """Take the posterior, advance the clock, drop the cached prediction and pass."""
@@ -111,7 +114,7 @@ class LowRankFilterLearner(_BayesianLearner):
     def _predict_belief(self, belief):
         return diagonal.predict(belief, self.cfg, getattr(self.model, "out_dim", 0))
 
-    def _update(self, pred, lin, y):
+    def _update(self, pred, lin, y, x):
         return diagonal.update(pred, lin, y, self.cfg)
 
 
@@ -131,7 +134,7 @@ class SphericalFilterLearner(_BayesianLearner):
     def _predict_belief(self, belief):
         return spherical.predict(belief, self.cfg)
 
-    def _update(self, pred, lin, y):
+    def _update(self, pred, lin, y, x):
         if self.mode == "orth":
             return spherical.update_orth(pred, lin, y, self.cfg, rng_seed=self.t)
         return spherical.update_svd(pred, lin, y, self.cfg)
@@ -150,15 +153,12 @@ class DenseFilterLearner(_BayesianLearner):
     def _predict_belief(self, belief):
         return baselines.dense_predict(belief, self.cfg.dynamics)
 
-    def _update(self, pred, lin, y):
-        return baselines.dense_update(pred, lin, y)
-
-    def observe(self, x, y):
+    def _update(self, pred, lin, y, x):
         if self.iterated is None:
-            super().observe(x, y)
-            return
-        pred = self.predicted_belief()
-        self._commit(baselines.iterated_ekf_update(pred, self.model, x, y, self.iterated))
+            return baselines.dense_update(pred, lin, y)
+        return baselines.iterated_ekf_update(pred, lin, self.model, x, y, self.iterated)
+
+    observe = _BayesianLearner.observe  # a traced name; see the module docstring
 
 
 class IteratedSphericalLearner(SphericalFilterLearner):
@@ -168,11 +168,11 @@ class IteratedSphericalLearner(SphericalFilterLearner):
         super().__init__(model, cfg, seed)
         self.iterated = iterated
 
-    def observe(self, x, y):
-        pred = self.predicted_belief()
-        self._commit(baselines.iterated_lowrank_update(
-            pred, self.model, x, y, self.iterated, rank=self.cfg.rank
-        ))
+    def _update(self, pred, lin, y, x):
+        return baselines.iterated_lowrank_update(
+            pred, lin, self.model, x, y, self.iterated, self.cfg.rank)
+
+    observe = _BayesianLearner.observe  # a traced name; see the module docstring
 
 
 class DiagonalEkfLearner(_BayesianLearner):
@@ -184,16 +184,14 @@ class DiagonalEkfLearner(_BayesianLearner):
         self.belief = diagonal.initial_belief(model, self.cfg, seed)
 
     def _predict_belief(self, belief):
-        return baselines.diagonal_predict(belief, self.cfg.dynamics)
+        return diagonal.predict(belief, self.cfg)
 
-    def _update(self, pred, lin, y):
+    def _update(self, pred, lin, y, x):
         # read off the module at call time, so a wrapper installed there runs
         step = baselines.vdekf_step if self.flavor == "vdekf" else baselines.fdekf_step
         return step(pred, lin, y)
 
-    # perfbench/tracing.py traces the predict and observe that each listed
-    # class defines itself; aliases keep them here as one span per call,
-    # where a super() call would nest a second span.
+    # traced names; see the module docstring
     predict = _BayesianLearner.predict
     observe = _BayesianLearner.observe
 

@@ -94,6 +94,9 @@ def update_svd(belief_pred, lin, y, cfg):
     return truncate(mean, eta, s, u, cfg.rank, "update_svd")
 
 
+ORTH_RESIDUAL_RTOL = 1e-6
+
+
 def svd_orth(lam, basis, grads, rng_seed):
     """Projection-based replacement for the truncated SVD.
 
@@ -102,9 +105,15 @@ def svd_orth(lam, basis, grads, rng_seed):
     order; each is projected (two passes) onto the complement of the
     active basis (columns whose singular value is > 0) and replaces the
     weakest slot when its residual norm is strictly larger than the
-    current minimum singular value. Returns (lam, basis) sorted
-    non-increasing. The live columns stay orthonormal; a dead slot
-    (lam = 0) keeps the column it had until a newcomer takes it.
+    current minimum singular value and than ``ORTH_RESIDUAL_RTOL * ||g||``.
+    Two projections onto live columns whose Gram is off the identity by
+    ``e <= 1e-8`` (as :class:`~lrkf.belief.SphericalBelief` admits) leave
+    about ``e^2 ||g||`` of their span in the residual, so a gradient inside
+    that span leaves round-off, which a dead slot would take and normalize
+    into a column far from orthogonal to the rest; above the bound, the new
+    column is orthogonal to them to ``e^2 / 1e-6 <= 1e-10``. Returns (lam,
+    basis) sorted non-increasing. The live columns stay orthonormal; a dead
+    slot (lam = 0) keeps the column it had until a newcomer takes it.
     """
     lam = np.array(lam, dtype=float, copy=True)
     basis = np.array(basis, dtype=float, copy=True)
@@ -115,7 +124,7 @@ def svd_orth(lam, basis, grads, rng_seed):
         v -= ua @ (ua.T @ v)
         norm = np.linalg.norm(v)
         slot = int(np.argmin(lam))
-        if norm > lam[slot]:
+        if norm > lam[slot] and norm > ORTH_RESIDUAL_RTOL * np.linalg.norm(g):
             basis[:, slot] = v / norm
             lam[slot] = norm
     order = np.argsort(-lam, kind="stable")

@@ -93,7 +93,7 @@ def test_02_zero_rank_reduces_to_vdekf():
         x = rng.uniform(-1, 1, 2)
         y = rng.standard_normal(1)
         b_lr, _ = diagonal.step(b_lr, x, y, model, cfg)
-        pred = baselines.diagonal_predict(b_vd, dyn)
+        pred = diagonal.predict(b_vd, cfg)
         b_vd = baselines.vdekf_step(pred, linearize(model, x, pred.mean), y)
         worst = max(
             worst,
@@ -153,8 +153,10 @@ def test_04_conjugate_exactness():
         y = np.array([x @ [1.0, -2.0, 0.5] + rng.normal(0, 0.2)])
         b_fc, _ = baselines.fcekf_step(b_fc, model, x, y, dyn)
         b_lr, _ = diagonal.step(b_lr, x, y, model, cfg)
-        b_ie1 = baselines.iterated_ekf_update(b_ie1, model, x, y, baselines.IteratedConfig(1))
-        b_ie5 = baselines.iterated_ekf_update(b_ie5, model, x, y, baselines.IteratedConfig(5))
+        b_ie1 = baselines.iterated_ekf_update(
+            b_ie1, linearize(model, x, b_ie1.mean), model, x, y, baselines.IteratedConfig(1))
+        b_ie5 = baselines.iterated_ekf_update(
+            b_ie5, linearize(model, x, b_ie5.mean), model, x, y, baselines.IteratedConfig(5))
         prec_star += np.outer(x, x) / r
         info += x * y[0] / r
     mean_star = np.linalg.solve(prec_star, info)
@@ -253,7 +255,7 @@ def test_08_linesearch_cost_non_increasing():
             return float(r_obs @ r_obs + r_prior @ r_prior)
 
         costs = [
-            cost(baselines.iterated_ekf_update(b, model, x, y, baselines.IteratedConfig(n)).mean)
+            cost(baselines.iterated_ekf_update(b, lin, model, x, y, baselines.IteratedConfig(n)).mean)
             for n in (1, 2, 3, 4)
         ]
         if any(costs[i + 1] > costs[i] + 1e-12 for i in range(3)):

@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from lrkf import baselines
+from lrkf import baselines, diagonal
 from lrkf.baselines import (
     Adam,
     DiagonalBelief,
@@ -12,7 +12,6 @@ from lrkf.baselines import (
     Sgd,
     dense_predict,
     dense_update,
-    diagonal_predict,
     fcekf_step,
     fdekf_step,
     iterated_ekf_update,
@@ -48,7 +47,7 @@ def linear_model(d, r):
 
 def diagonal_ekf(stepper, b, model, x, y, dyn):
     """One predict, linearize and ``stepper`` update of a diagonal EKF."""
-    pred = diagonal_predict(b, dyn)
+    pred = diagonal.predict(b, LowRankConfig(0, dyn))
     return stepper(pred, linearize(model, x, pred.mean), y)
 
 
@@ -161,7 +160,7 @@ class TestDiagonalEkfs:
         b = DiagonalBelief(initialize_mean(model.spec, 0), np.full(p, 2.0))
         x, y = rng.standard_normal(2), rng.standard_normal(2)
         # the gain form with S^+ taken afresh, as the correction once did
-        pred = diagonal_predict(b, dyn)
+        pred = diagonal.predict(b, LowRankConfig(0, dyn))
         lin = linearize(model, x, pred.mean)
         cross = (1.0 / pred.diag_precision)[:, None] * lin.jacobian.T
         s_pinv = sym_pinv(symmetrize(lin.jacobian @ cross + lin.obs_cov))
@@ -296,9 +295,9 @@ class TestIteratedEkf:
         b = DenseCovBelief(rng.standard_normal(d), np.eye(d) / 1.5)
         x = rng.standard_normal(d)
         y = np.array([1.0])
-        one = iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=1))
-        five = iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=5))
         lin = linearize(model, x, b.mean)
+        one = iterated_ekf_update(b, lin, model, x, y, IteratedConfig(num_iters=1))
+        five = iterated_ekf_update(b, lin, model, x, y, IteratedConfig(num_iters=5))
         exact = dense_update(b, lin, y)
         assert np.max(np.abs(one.mean - five.mean)) < 1e-12
         assert np.max(np.abs(one.mean - exact.mean)) < 1e-10
@@ -310,7 +309,8 @@ class TestIteratedEkf:
         b = DenseCovBelief(np.array([1.0, 0.0]), np.eye(2))
         x = np.array([1.0, 1.0])
         y = np.array([1.0])  # equals th @ x at the mean
-        out = iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=3))
+        lin = linearize(model, x, b.mean)
+        out = iterated_ekf_update(b, lin, model, x, y, IteratedConfig(num_iters=3))
         assert out.mean == pytest.approx(b.mean, abs=1e-12)
 
     def test_cubic_toy_cost_non_increasing(self):
@@ -327,7 +327,8 @@ class TestIteratedEkf:
             return 0.5 * float(r_obs @ r_obs + r_prior @ r_prior)
 
         # instrument the iteration by running it manually with increasing N
-        costs = [cost(iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=n)).mean)
+        lin = linearize(model, x, b.mean)
+        costs = [cost(iterated_ekf_update(b, lin, model, x, y, IteratedConfig(num_iters=n)).mean)
                  for n in range(1, 6)]
         assert all(costs[i + 1] <= costs[i] + 1e-12 for i in range(len(costs) - 1))
 
@@ -348,7 +349,7 @@ class TestIteratedEkf:
                 r_prior = prec_chol @ (b.mean - mu)
                 return 0.5 * float(r_obs @ r_obs + r_prior @ r_prior)
 
-            costs = [cost(iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=n)).mean)
+            costs = [cost(iterated_ekf_update(b, lin, model, x, y, IteratedConfig(num_iters=n)).mean)
                      for n in (1, 2, 4)]
             assert costs[1] <= costs[0] + 1e-12
             assert costs[2] <= costs[1] + 1e-12
@@ -381,7 +382,8 @@ def pinned_problem():
 def test_iterated_ekf_mean_is_pinned():
     model, mean, x, y = pinned_problem()
     b = DenseCovBelief(mean, np.eye(model.parameter_count) / 0.3)
-    out = iterated_ekf_update(b, model, x, y, IteratedConfig(num_iters=3))
+    lin = linearize(model, x, b.mean)
+    out = iterated_ekf_update(b, lin, model, x, y, IteratedConfig(num_iters=3))
     np.testing.assert_array_equal(out.mean, PINNED_IEKF_MEAN)
 
 
@@ -389,7 +391,8 @@ def test_iterated_lowrank_mean_is_pinned():
     model, mean, x, y = pinned_problem()
     b = random_spherical(model.parameter_count, 3, seed=5)
     b = type(b)(mean, 0.3, b.basis, b.singular_values)
-    out = iterated_lowrank_update(b, model, x, y, IteratedConfig(num_iters=3), rank=3)
+    lin = linearize(model, x, b.mean)
+    out = iterated_lowrank_update(b, lin, model, x, y, IteratedConfig(num_iters=3), rank=3)
     np.testing.assert_array_equal(out.mean, PINNED_ILREKF_MEAN)
 
 
@@ -405,7 +408,7 @@ class TestIteratedLowRank:
         lin = linearize(model, x, b.mean)
         cfg = LowRankConfig(rank=3)
         direct = update_svd(b, lin, y, cfg)
-        iterated = iterated_lowrank_update(b, model, x, y, IteratedConfig(num_iters=1), rank=3)
+        iterated = iterated_lowrank_update(b, lin, model, x, y, IteratedConfig(num_iters=1), rank=3)
         assert np.max(np.abs(direct.mean - iterated.mean)) < 1e-9
 
     def test_zero_jacobian_mean_fixed(self):
@@ -416,7 +419,8 @@ class TestIteratedLowRank:
             parameter_count=4,
         )
         b = random_spherical(4, 2, seed=16)
-        out = iterated_lowrank_update(b, model, np.zeros(1), np.array([2.5]),
+        x = np.zeros(1)
+        out = iterated_lowrank_update(b, linearize(model, x, b.mean), model, x, np.array([2.5]),
                                       IteratedConfig(num_iters=4), rank=2)
         assert out.mean == pytest.approx(b.mean, abs=1e-12)
 
@@ -426,7 +430,9 @@ class TestIteratedLowRank:
         monkeypatch.setattr(baselines, "thin_svd", lambda w: calls.append(w.shape) or real(w))
         model = linear_model(4, 0.8)
         b = random_spherical(4, 2, seed=18)
-        iterated_lowrank_update(b, model, np.ones(4), np.array([0.7]), IteratedConfig(3), rank=2)
+        x = np.ones(4)
+        iterated_lowrank_update(b, linearize(model, x, b.mean), model, x, np.array([0.7]),
+                                IteratedConfig(3), rank=2)
         assert calls == [(4, 3)]
 
     def test_linear_model_iteration_count_irrelevant(self):
@@ -436,8 +442,9 @@ class TestIteratedLowRank:
         b = random_spherical(d, 2, seed=18)
         x = rng.standard_normal(d)
         y = np.array([0.7])
-        one = iterated_lowrank_update(b, model, x, y, IteratedConfig(num_iters=1), rank=2)
-        three = iterated_lowrank_update(b, model, x, y, IteratedConfig(num_iters=3), rank=2)
+        lin = linearize(model, x, b.mean)
+        one = iterated_lowrank_update(b, lin, model, x, y, IteratedConfig(num_iters=1), rank=2)
+        three = iterated_lowrank_update(b, lin, model, x, y, IteratedConfig(num_iters=3), rank=2)
         assert np.max(np.abs(one.mean - three.mean)) < 1e-12
         assert one.singular_values == pytest.approx(three.singular_values)
         assert one.eta == three.eta == b.eta

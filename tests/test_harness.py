@@ -8,6 +8,7 @@ from lrkf.exceptions import ConfigError
 from lrkf.harness import (
     ExperimentConfig,
     parse_config,
+    run_bandit_experiment,
     run_experiment,
     run_seed as harness_run_seed,
     tune_experiment,
@@ -428,6 +429,52 @@ steps = 400
         )
         assert (tmp_path / "o" / "failures.txt").read_text().startswith(
             "seed 0: NumericalDegeneracyError: vdekf_step")
+
+    @pytest.mark.parametrize("first, second", [("1e-320", "0.0025"), ("0.0025", "1e-320")])
+    def test_rerun_into_the_same_output_leaves_what_a_fresh_run_leaves(self, first, second,
+                                                                     tmp_path):
+        # obs_variance = 1e-320 fails both seeds (see the test above); a run
+        # into the directory of an earlier run removes the files it does not
+        # write, so no failures.txt, per-seed file or summary of that run stays
+        def run(obs_variance, out):
+            text = (REPO / "demos" / "configs" / "sine.ini").read_text()
+            for old, new in (("name = lrekf", "name = vdekf"), ("seeds = 0 1 2", "seeds = 0 1"),
+                             ("obs_variance = 0.0025", f"obs_variance = {obs_variance}"),
+                             ("num_tasks = 5", "num_tasks = 1"),
+                             ("steps_per_task = 250", "steps_per_task = 5"),
+                             ("output = out/sine", f"output = {out}")):
+                text = text.replace(old, new)
+            with np.errstate(all="ignore"):
+                return run_experiment(parse_config(write_config(tmp_path / "c.ini", text)))
+
+        def files(out):
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        assert len(run(first, tmp_path / "o")["failed"]) == (2 if first == "1e-320" else 0)
+        status = run(second, tmp_path / "o")
+        run(second, tmp_path / "fresh")
+        if second == "1e-320":
+            assert status["completed"] == [] and sorted(status["failed"]) == [0, 1]
+            assert sorted(files(tmp_path / "o")) == ["failures.txt", "metrics.csv"]
+        else:
+            assert status == {"completed": [0, 1], "failed": {}}
+            assert sorted(files(tmp_path / "o")) == [
+                "metrics.csv", "metrics_seed0.csv", "metrics_seed1.csv", "summary.csv"]
+        assert files(tmp_path / "o") == files(tmp_path / "fresh")
+
+    def test_bandit_rerun_removes_the_last_runs_failures(self, tmp_path):
+        # lr = 1e9 fails the sgd_rb seed (see TestCli); the lrekf rerun fails none
+        failing = BANDIT.format(out=tmp_path / "o").replace(
+            "name = lrekf", "name = sgd_rb\nlr = 1e9").replace("policy = thompson",
+                                                              "policy = epsilon_greedy")
+        with np.errstate(all="ignore"):
+            status = run_bandit_experiment(parse_config(write_config(tmp_path / "f.ini", failing)))
+        assert sorted(status["failed"]) == [0]
+        assert (tmp_path / "o" / "failures.txt").exists()
+        passing = BANDIT.format(out=tmp_path / "o")
+        status = run_bandit_experiment(parse_config(write_config(tmp_path / "p.ini", passing)))
+        assert status["failed"] == {}
+        assert sorted(path.name for path in (tmp_path / "o").iterdir()) == ["bandit_metrics.csv"]
 
     @pytest.mark.parametrize("tag, precision, step", [
         ("lrekf", "1e-300", "diagonal update"),

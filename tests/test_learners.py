@@ -132,15 +132,27 @@ def test_held_predicted_belief_keeps_its_bits(kind):
             np.testing.assert_array_equal(now, before)
 
 
-@pytest.mark.parametrize("tag", ["lrekf", "lrekf_spherical", "vdekf"])
+@pytest.mark.parametrize("tag", ["lrekf", "lrekf_spherical", "vdekf", "fdekf", "fcekf"])
 def test_prequential_eval_runs_one_mlp_pass_per_event(count_mlp_passes, tag):
     # one forward for the prediction; the linearization's Jacobian reuses
     # that pass
     model, events = sine_setup()
-    params = {"lrekf": PARAMS, "lrekf_spherical": {"rank": 3, "process_noise": 1e-4},
-              "vdekf": {"process_noise": 1e-4}}[tag]
+    params = {"lrekf": PARAMS, "lrekf_spherical": {"rank": 3, "process_noise": 1e-4}}.get(
+        tag, {"process_noise": 1e-4})
     prequential_eval(build_learner(tag, model, params, seed=0), events, ("rmse", "nll"))
     assert count_mlp_passes == {"forward": len(events), "passes": len(events)}
+
+
+@pytest.mark.parametrize("tag, forward, passes", [("iekf", 320, 380), ("ilrekf", 290, 350)])
+def test_iterated_filters_linearize_first_from_the_predict_pass(count_mlp_passes, tag,
+                                                               forward, passes):
+    # per event: the prediction's forward, whose kept pass is the first
+    # linearization, a pass per later relinearization and a forward per
+    # line-search energy; a fresh first linearization would add 30 passes
+    model, events = sine_setup()
+    learner = build_learner(tag, model, {"rank": 3, "process_noise": 1e-4}, seed=0)
+    prequential_eval(learner, events, ("rmse", "nll"))
+    assert count_mlp_passes == {"forward": forward, "passes": passes}
 
 
 def test_vdekf_builds_two_beliefs_per_event(monkeypatch):

@@ -256,6 +256,31 @@ class TestSvdOrth:
         assert got_basis == pytest.approx(exp_basis)
         assert orthonormality_error(got_basis) <= 1e-8
 
+    def test_in_span_gradient_takes_no_dead_slot(self):
+        # the live columns span all of R^4: the gradient's residual is
+        # round-off (7.8e-32), which the dead slot took and normalized into
+        # a column 0.66 off orthonormal to the live ones
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        lam = np.array([2.0, 1.5, 1.0, 0.5, 0.0])
+        g = q @ rng.standard_normal(4)
+        out_lam, out_basis = svd_orth(lam, np.hstack([q, np.zeros((4, 1))]), g[:, None], 0)
+        np.testing.assert_array_equal(out_lam, lam)
+        assert orthonormality_error(live_columns(out_lam, out_basis)[0]) <= 1e-8
+
+    def test_rank_above_the_parameter_count_completes_every_seed(self, tmp_path):
+        # sine.ini with hidden = 1 (P = 4) and rank 5 failed every seed with
+        # "basis columns are not orthonormal" once four directions were live
+        text = (REPO / "demos/configs/sine.ini").read_text()
+        for old, new in (("hidden = 50", "hidden = 1"), ("rank = 10", "rank = 5"),
+                         ("name = lrekf", "name = lrekf_spherical\nupdate = orth"),
+                         ("output = out/sine", f"output = {tmp_path / 'o'}")):
+            text = text.replace(old, new)
+        (tmp_path / "c.ini").write_text(text)
+        cfg = harness.parse_config(str(tmp_path / "c.ini"))
+        assert harness.build_model(cfg, 1, 1).parameter_count == 4
+        assert harness.run_experiment(cfg) == {"completed": [0, 1, 2], "failed": {}}
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 5000))
     def test_random_instances_stay_orthonormal(self, seed):

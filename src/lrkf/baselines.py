@@ -33,7 +33,7 @@ import numpy as np
 
 from .belief import DenseCovBelief, DlrBelief, validated
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise, sym_pinv, symmetrize, thin_svd, woodbury_mean
+from .linalg import cholesky, solve, sym_pinv, symmetrize, thin_svd, woodbury_mean
 from .models import linearize, softmax
 from .spherical import extended_factor, truncate
 
@@ -70,7 +70,7 @@ def _dense_gain(cov, lin):
 def _dense_posterior(mean, cov, h_cov, gain_t):
     """Sigma* = Sigma - (H Sigma)^T K^T, symmetrized and checked positive definite."""
     cov = symmetrize(cov - h_cov.T @ gain_t)
-    chol_or_raise(cov, "posterior covariance")
+    cholesky(cov, "Cholesky of posterior covariance")
     return DenseCovBelief(mean, cov)
 
 
@@ -191,7 +191,7 @@ def nll_gradient(model, x, y, theta):
     mean, jac = model.jacobian(x, theta)
     resid = y - mean
     lin_cov = model.family.obs_cov(resid.shape[0])
-    return -jac.T @ np.linalg.solve(lin_cov, resid)
+    return -jac.T @ solve(lin_cov, resid, "observation covariance solve")
 
 
 def sgd_replay_step(params, buffer, x, y, optimizer, grad, inner_iters=1):
@@ -230,10 +230,10 @@ class IteratedConfig:
 
 
 def _iterate(lin, model, x, y, mu_pred, prior_energy, step, icfg):
-    """Each pass steps by ``step(lin, innov, mu_pred - mu)``, line-searched
-    on the energy; the first uses ``lin``, the linearization at
-    ``mu_pred``, and each later one relinearizes at the moved mean.
-    Returns the mean and the last linearization."""
+    """Each pass steps by ``step(lin, innov, mu_pred - mu)`` (the step and
+    what it built), line-searched on the energy; the first uses ``lin``,
+    the linearization at ``mu_pred``, and each later one relinearizes at
+    the moved mean. Returns the mean and what the last step built."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     whitener = lin.whitener
 
@@ -241,22 +241,24 @@ def _iterate(lin, model, x, y, mu_pred, prior_energy, step, icfg):
         r_obs = whitener @ (y - model.forward(x, mu))
         return 0.5 * (r_obs @ r_obs + prior_energy(mu_pred - mu))
 
-    mu = mu_pred
+    mu, energy = mu_pred, cost(mu_pred)
     for i in range(icfg.num_iters):
         if i:
             lin = linearize(model, x, mu)
         d = mu_pred - mu
         # innovation of the model linearized at mu, read at mu_pred
         innov = lin.innovation(y) - lin.jacobian @ d
-        delta = step(lin, innov, d)
+        delta, made = step(lin, innov, d)
         # the full step unless it raises the energy (so 1 on a flat one),
-        # else the grid argmin in (0, 1]
-        alpha = 1.0
-        if not cost(mu + delta) <= cost(mu):
+        # else the grid argmin in (0, 1]; ``energy`` is always that of mu
+        alpha, moved = 1.0, cost(mu + delta)
+        if not moved <= energy:
             alphas = np.linspace(0.0, 1.0, icfg.linesearch_grid + 1)[1:]
-            alpha = alphas[int(np.argmin([cost(mu + a * delta) for a in alphas]))]
-        mu = mu + alpha * delta
-    return mu, lin
+            costs = [cost(mu + a * delta) for a in alphas]
+            best = int(np.argmin(costs))
+            alpha, moved = alphas[best], costs[best]
+        mu, energy = mu + alpha * delta, moved
+    return mu, made
 
 
 def iterated_ekf_update(belief_pred, lin, model, x, y, icfg):
@@ -267,17 +269,18 @@ def iterated_ekf_update(belief_pred, lin, model, x, y, icfg):
     ||L^-1 (mu_pred - mu)||^2)``, with ``L L^T`` the prior covariance. The
     posterior covariance is :func:`dense_update`'s at the last linearization.
     """
-    chol = chol_or_raise(belief_pred.cov, "prior covariance")
+    chol = cholesky(belief_pred.cov, "Cholesky of prior covariance")
 
     def prior_energy(d):
-        r_prior = np.linalg.solve(chol, d)
+        r_prior = solve(chol, d, "prior whitening")
         return r_prior @ r_prior
 
     def step(lin, innov, d):
-        return d + innov @ _dense_gain(belief_pred.cov, lin)[1]
+        gain = _dense_gain(belief_pred.cov, lin)
+        return d + innov @ gain[1], gain
 
-    mu, lin = _iterate(lin, model, x, y, belief_pred.mean, prior_energy, step, icfg)
-    return _dense_posterior(mu, belief_pred.cov, *_dense_gain(belief_pred.cov, lin))
+    mu, gain = _iterate(lin, model, x, y, belief_pred.mean, prior_energy, step, icfg)
+    return _dense_posterior(mu, belief_pred.cov, *gain)
 
 
 def iterated_lowrank_update(belief_pred, lin, model, x, y, icfg, rank):
@@ -299,8 +302,7 @@ def iterated_lowrank_update(belief_pred, lin, model, x, y, icfg, rank):
 
     def step(lin, innov, d):
         w_ext = extended_factor(belief_pred, lin)
-        return woodbury_mean(d, eta, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov))
+        return woodbury_mean(d, eta, w_ext, lin.jacobian.T @ lin.apply_r_inv(innov)), w_ext
 
-    mu, lin = _iterate(lin, model, x, y, belief_pred.mean, prior_energy, step, icfg)
-    w_ext = extended_factor(belief_pred, lin)
+    mu, w_ext = _iterate(lin, model, x, y, belief_pred.mean, prior_energy, step, icfg)
     return truncate(mu, eta, *thin_svd(w_ext), rank, "iterated_lowrank_update")

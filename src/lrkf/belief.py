@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise, thin_svd
+from .linalg import cholesky, solve, thin_svd
 
 # Largest P for which dense P x P reconstructions are allowed: the dense
 # conversions and the dense sampling oracle. No production path uses them.
@@ -234,7 +234,7 @@ def sample_parameters(belief, n, rng_seed, method="lowrank"):
     rng = np.random.default_rng(rng_seed)
     v = rng.standard_normal((n, p))
     if method == "dense":
-        chol = chol_or_raise(dlr_to_dense(belief).precision, "belief precision")
+        chol = cholesky(dlr_to_dense(belief).precision, "Cholesky of belief precision")
         return mean + np.linalg.solve(chol.T, v.T).T  # covariance (L L^T)^-1
     if method != "lowrank":
         raise ValueError(f"unknown sampling method {method!r}")
@@ -245,12 +245,9 @@ def sample_parameters(belief, n, rng_seed, method="lowrank"):
         m = w * d_isqrt[:, None]
         core = m.T @ m
         core.flat[:: rank + 1] += 1.0
-        try:
-            coef = np.linalg.solve(core, (rng.standard_normal((n, rank)) - v @ m).T)
-            if not np.isfinite(coef).all():
-                raise np.linalg.LinAlgError("non-finite solution")
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError(f"sampler core I + M^T M: {exc}") from exc
+        coef = solve(core, (rng.standard_normal((n, rank)) - v @ m).T, "sampler core solve")
+        if not np.isfinite(coef).all():
+            raise NumericalDegeneracyError("sampler core solve failed: non-finite solution")
         v += coef.T @ m.T
     v *= d_isqrt
     v += mean

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import DlrBelief, validated
-from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise, symmetrize, thin_svd, woodbury_mean
+from .linalg import cholesky, inv, symmetrize, thin_svd, woodbury_mean
 from .models import initialize_mean, linearize
 
 
@@ -119,11 +118,7 @@ def predict(belief, cfg, out_dim=0):
     scaled = ratio[:, None] * w
     core = q * (w.T @ scaled)
     core.flat[:: rank + 1] += 1.0  # I + q W^T scaled, with no identity temporary
-    try:
-        core_inv = np.linalg.inv(core)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"predict core inversion failed: {exc}") from exc
-    chol = chol_or_raise(symmetrize(core_inv), "predict core")
+    chol = cholesky(symmetrize(inv(core, "predict core inversion")), "Cholesky of predict core")
     ext = np.empty((p, rank + out_dim), order="F")
     w_pred = np.matmul(scaled, g * chol, out=ext[:, :rank])
     return validated("diagonal predict", DlrBelief, mean, ups_pred, w_pred)

@@ -4,10 +4,15 @@ Everything here works on plain float64 ndarrays and avoids forming any
 P x P matrix. :func:`woodbury_mean` is the one mean solve of every
 low-rank update but the spherical SVD one, whose mean is read off its
 :func:`thin_svd`, and of inflation, and :func:`sym_pinv` the one
-pseudo-inverse of the gain-form filters. Both eigendecompositions, of
-:func:`thin_svd`'s Gram matrix and of :func:`sym_pinv`'s input, are
-numpy's ``eigh``, so this module needs no scipy. The deterministic sign
-and tie conventions make filter trajectories reproducible run to run.
+pseudo-inverse of the gain-form filters. The deterministic sign and tie
+conventions make filter trajectories reproducible run to run.
+
+Every runtime decomposition is :func:`eigh`, :func:`inv`, :func:`cholesky`
+or :func:`solve`: the gufunc of the private ``numpy.linalg._umath_linalg``
+that ``np.linalg`` calls, under its ``np.errstate``, so the same bits
+without ``np.linalg``'s per-call plumbing, which costs more than LAPACK at
+K x K. Checked on numpy 2.4.6 (the 1.24 floor could not be installed
+offline); the guard is each entry's bit-for-bit test in test_linalg.py.
 
 P x K factors are kept column-contiguous (Fortran order): :func:`thin_svd`
 returns U that way, and the row scalings and products of the callers
@@ -15,6 +20,7 @@ then stream whole columns. Inputs may have any layout.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import NumericalDegeneracyError
 
@@ -42,17 +48,36 @@ def fix_column_signs(u):
     return u
 
 
-def _eigh(a, caller, name="matrix"):
-    """Ascending eigenvalues and eigenvectors of a symmetric matrix by
-    ``np.linalg.eigh`` (LAPACK ``dsyevd``; only the lower triangle is
-    read). A non-finite ``a`` or a failed call raises
-    NumericalDegeneracyError naming ``caller`` and the matrix ``name``."""
-    if not np.isfinite(a).all():
-        raise NumericalDegeneracyError(f"{caller}: non-finite {name}")
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"{caller}: eigh of the {name} failed: {exc}") from exc
+def _lapack(gufunc, signature, reason, what, *args):
+    """``gufunc(*args)`` under the error state of numpy's own wrappers; a
+    LAPACK failure raises NumericalDegeneracyError ``<what> failed: <reason>``."""
+
+    def fail(err, flag):
+        raise NumericalDegeneracyError(f"{what} failed: {reason}")
+
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*args, signature=signature)
+
+
+def eigh(a, what):
+    """``np.linalg.eigh(a)``: LAPACK ``dsyevd`` on the lower triangle."""
+    return _lapack(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge", what, a)
+
+
+def inv(a, what):
+    """``np.linalg.inv(a)``."""
+    return _lapack(_umath_linalg.inv, "d->d", "Singular matrix", what, a)
+
+
+def cholesky(a, what):
+    """``np.linalg.cholesky(a)``, the lower factor."""
+    return _lapack(_umath_linalg.cholesky_lo, "d->d", "Matrix is not positive definite", what, a)
+
+
+def solve(a, b, what):
+    """``np.linalg.solve(a, b)``: one right-hand side when ``b`` is 1-D."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return _lapack(gufunc, "dd->d", "Singular matrix", what, a, b)
 
 
 def sym_pinv(a):
@@ -60,16 +85,18 @@ def sym_pinv(a):
     eigenvalues with ``|lam| > 1e-15 * max|lam|`` (numpy's ``pinv`` cutoff).
 
     It covers the singular moment-matched innovation covariance of a
-    categorical likelihood. The eigenpairs come from ``np.linalg.eigh``,
-    whose ``dsyevd`` resolves the null direction of a singular ``a`` to
+    categorical likelihood. The eigenpairs come from :func:`eigh`, whose
+    ``dsyevd`` resolves the null direction of a singular ``a`` to
     below the cutoff. A finite 1 x 1 ``a``, the S of every C = 1 update,
     skips ``eigh``: its result is ``[[1 / a]]`` (``[[0.0]]`` for a zero),
     bit for bit what the eigenpairs and ``np.linalg.pinv(a, hermitian=True)``
     give. A non-finite ``a`` or a failed call raises NumericalDegeneracyError.
     """
-    if a.shape == (1, 1) and abs(v := float(a[0, 0])) < np.inf:  # else _eigh raises
+    if a.shape == (1, 1) and abs(v := float(a[0, 0])) < np.inf:
         return np.array([[1.0 / v if v else 0.0]])
-    vals, vecs = _eigh(a, "sym_pinv")
+    if not np.isfinite(a).all():
+        raise NumericalDegeneracyError("sym_pinv: non-finite matrix")
+    vals, vecs = eigh(a, "sym_pinv: eigh of the matrix")
     mag = np.abs(vals)
     inv = np.zeros_like(vals)
     live = mag > 1e-15 * mag.max()
@@ -99,11 +126,10 @@ def thin_svd(w):
     -----
     When P > K the decomposition goes through the K x K Gram matrix
     ``w.T w`` so the cost is O(P K^2 + K^3) rather than O(P^2 K). Its
-    eigendecomposition is one ``np.linalg.eigh`` call (LAPACK
-    ``dsyevd``); its ascending values, clamped at 0, are put in stable
-    descending order by reversal when they are distinct and by an argsort
-    when some tie. With ``w.T w = V diag(s^2) V^T``, U is formed by one
-    matrix product ``w @ F``, ``F = V[:, live] / s[live]`` (no division
+    eigendecomposition is one :func:`eigh` call (LAPACK ``dsyevd``); its
+    ascending values, clamped at 0, are put in stable descending order by
+    reversal when they are distinct and by an argsort when some tie. With
+    ``w.T w = V diag(s^2) V^T``, U is formed by one matrix product ``w @ F``, ``F = V[:, live] / s[live]`` (no division
     by a dead value), written column-contiguous whatever the layout of
     ``w``. The sign rule is folded into the K x K factor F: a column of F
     is negated when the matching entry of row 0 of U, ``w[0] @ F``, is
@@ -119,7 +145,9 @@ def thin_svd(w):
         return np.zeros(0), np.zeros((p, 0))
     if p > k:
         gram = w.T @ w
-        vals, vecs = _eigh(gram, "thin_svd", "Gram matrix")
+        if not np.isfinite(gram).all():
+            raise NumericalDegeneracyError("thin_svd: non-finite Gram matrix")
+        vals, vecs = eigh(gram, "thin_svd: eigh of the Gram matrix")
         vals = np.maximum(vals, 0.0)
         distinct = (vals[1:] > vals[:-1]).all()  # then the stable sort is the reversal
         order = slice(None, None, -1) if distinct else np.argsort(-vals, kind="stable")
@@ -183,7 +211,7 @@ def woodbury_mean(mean, diag, w, rhs):
         m = d_inv[..., None] * w
         core = w.T @ m
         core.flat[:: w.shape[1] + 1] += 1.0  # I + W^T M, with no identity temporary
-        coef = _solve_core(core, m.T @ rhs)
+        coef = solve(core, m.T @ rhs, "Woodbury core solve")
         return mean + d_inv * rhs - m @ coef
     scale = np.sqrt(d_inv)
     core = np.eye(w.shape[1])
@@ -192,23 +220,8 @@ def woodbury_mean(mean, diag, w, rhs):
         r = (scale[rows, None] if scale.ndim else scale) * w[rows]
         core += r.T @ r
     b = d_inv * rhs
-    coef = _solve_core(core, w.T @ b)
+    coef = solve(core, w.T @ b, "Woodbury core solve")
     return mean + b - d_inv * (w @ coef)
-
-
-def _solve_core(core, rhs):
-    try:
-        return np.linalg.solve(core, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"Woodbury core solve failed: {exc}") from exc
-
-
-def chol_or_raise(a, what="matrix"):
-    """Cholesky factor (lower) of ``a``, raising NumericalDegeneracyError."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"Cholesky of {what} failed: {exc}") from exc
 
 
 def symmetrize(a):

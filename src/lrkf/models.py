@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import NumericalDegeneracyError
-from .linalg import chol_or_raise
+from .linalg import cholesky, eigh, inv
 
 # Probabilities are clamped away from exact 0/1 before moment matching so
 # the whitened observation never becomes exactly singular.
@@ -80,12 +80,12 @@ class GaussianFamily:
     def obs_chol(self, dim):
         """Lower Cholesky factor L of R."""
         return self._fixed(
-            "chol", dim, lambda d: chol_or_raise(self.obs_cov(d), "observation covariance")
+            "chol", dim, lambda d: cholesky(self.obs_cov(d), "Cholesky of observation covariance")
         )
 
     def obs_whitener(self, dim):
         """L^-1, so that ``A.T @ A`` is R^-1."""
-        return self._fixed("whitener", dim, lambda d: np.linalg.inv(self.obs_chol(d)))
+        return self._fixed("whitener", dim, lambda d: inv(self.obs_chol(d), "observation whitener"))
 
 
 @dataclass(frozen=True)
@@ -386,8 +386,8 @@ class FunctionModel:
 
 def pseudo_whitener(cov):
     """A with A^T A = pinv(cov), dropping eigenvalues <= the floor; the
-    eigenpairs come from ``np.linalg.eigh`` (LAPACK ``dsyevd``)."""
-    vals, vecs = np.linalg.eigh(cov)
+    eigenpairs come from LAPACK ``dsyevd`` through :func:`lrkf.linalg.eigh`."""
+    vals, vecs = eigh(cov, "pseudo_whitener: eigh of the covariance")
     keep = vals > WHITENER_EIG_FLOOR
     a = np.zeros_like(cov)
     k = int(keep.sum())

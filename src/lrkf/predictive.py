@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import _dlr_parts, sample_parameters
+from .linalg import cholesky, solve
 from .models import softmax
 
 
@@ -39,7 +40,7 @@ def gaussian_log_density(resid, chol):
     if resid.shape[-1] == 1:  # the 1 x 1 solve's bits; a product with 1 / L has others
         quad = np.square(resid[..., 0] / chol[0, 0])
     else:
-        white = np.linalg.solve(chol, resid[..., None])  # (..., C, 1)
+        white = solve(chol, resid[..., None], "residual whitening")  # (..., C, 1)
         quad = (white.swapaxes(-1, -2) @ white)[..., 0, 0]
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     return -0.5 * (resid.shape[-1] * np.log(2 * np.pi) + logdet + quad)
@@ -75,7 +76,9 @@ class GaussianPrediction:
 
     def nll(self, y):
         resid = np.atleast_1d(np.asarray(y, dtype=float)) - self.mean
-        chol = np.linalg.cholesky(self.cov) if self.chol is None else self.chol
+        chol = self.chol
+        if chol is None:
+            chol = cholesky(self.cov, "Cholesky of predictive covariance")
         return -gaussian_log_density(resid, chol)
 
 
@@ -140,7 +143,7 @@ def _projected_cov(belief, rows):
     if w.shape[1]:
         m = base @ w
         core = np.eye(w.shape[1]) + (w.T * d_inv) @ w
-        cov = cov - m @ np.linalg.solve(core, m.T)
+        cov = cov - m @ solve(core, m.T, "projected covariance core solve")
     return cov
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -196,7 +198,7 @@ class TestDirectSyevr:
         for seed in range(5):
             w = self.tall(k, seed)
             gram = w.T @ w
-            vals, vecs = linalg._eigh(gram, "thin_svd", "Gram matrix")
+            vals, vecs = linalg.eigh(gram, "thin_svd")
             ref_vals, ref_vecs = np.linalg.eigh(gram)
             np.testing.assert_array_equal(vals, ref_vals)
             np.testing.assert_array_equal(vecs, ref_vecs)
@@ -206,7 +208,7 @@ class TestDirectSyevr:
     def assert_matches_eigh_route(cls, monkeypatch, w):
         s, u = thin_svd(w)
         with monkeypatch.context() as m:
-            m.setattr(linalg, "_eigh", lambda a, *names: np.linalg.eigh(a))
+            m.setattr(linalg, "eigh", lambda a, what: np.linalg.eigh(a))
             s_ref, u_ref = thin_svd(w)
         np.testing.assert_array_equal(s, s_ref)
         np.testing.assert_array_equal(u, u_ref)
@@ -312,6 +314,92 @@ class TestSymPinv:
     def test_non_finite_scalar_raises(self, value):
         with pytest.raises(NumericalDegeneracyError, match=r"^sym_pinv: non-finite matrix$"):
             sym_pinv(np.array([[value]]))
+
+
+def assert_same_bits(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+class TestLapackEntries:
+    """linalg's eigh, inv, cholesky and solve call numpy.linalg's private
+    gufuncs directly. These tests are the guard on that private API: a
+    numpy that renames or changes the gufuncs fails here."""
+
+    @staticmethod
+    def spd(k, seed, order="C"):
+        x = np.random.default_rng(seed).standard_normal((k, k + 2))
+        return np.asarray(x @ x.T + 0.1 * np.eye(k), order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [1, 2, 11, 30, 64])
+    def test_entries_match_numpy_linalg_bit_for_bit(self, k, order):
+        a = self.spd(k, k, order)
+        vals, vecs = linalg.eigh(a, "op")
+        ref_vals, ref_vecs = np.linalg.eigh(a)
+        assert_same_bits(vals, ref_vals)
+        assert_same_bits(vecs, ref_vecs)
+        assert_same_bits(linalg.inv(a, "op"), np.linalg.inv(a))
+        assert_same_bits(linalg.cholesky(a, "op"), np.linalg.cholesky(a))
+        rng = np.random.default_rng(k + 100)
+        general = np.asarray(rng.standard_normal((k, k)) + k * np.eye(k), order=order)
+        # one right-hand side, a matrix of them and a stack of single ones
+        for b in (rng.standard_normal(k), rng.standard_normal((k, 3)),
+                  rng.standard_normal((5, k, 1))):
+            assert_same_bits(linalg.solve(general, b, "op"), np.linalg.solve(general, b))
+
+    SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]])
+    INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("call, reason", [
+        (lambda: linalg.inv(TestLapackEntries.SINGULAR, "op"), "Singular matrix"),
+        (lambda: linalg.solve(TestLapackEntries.SINGULAR, np.ones(2), "op"), "Singular matrix"),
+        (lambda: linalg.solve(TestLapackEntries.SINGULAR, np.ones((2, 3)), "op"),
+         "Singular matrix"),
+        (lambda: linalg.cholesky(TestLapackEntries.INDEFINITE, "op"),
+         "Matrix is not positive definite"),
+        (lambda: linalg.cholesky(np.zeros((3, 3)), "op"), "Matrix is not positive definite"),
+    ], ids=["inv", "solve1", "solve", "cholesky-indefinite", "cholesky-zero"])
+    def test_lapack_failure_raises_naming_the_operation(self, call, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDegeneracyError, match=rf"^op failed: {reason}$"):
+                call()
+
+    @pytest.mark.parametrize("at", [(0, 0), (4, 2)])
+    @pytest.mark.parametrize("entry", ["eigh", "inv", "cholesky", "solve"])
+    def test_nan_input_does_what_numpy_does_without_a_warning(self, entry, at):
+        # LAPACK may or may not fail on a NaN. Where np.linalg raises, the
+        # entry raises NumericalDegeneracyError with its reason; where it
+        # returns, the entry returns the same bits. A caller that must
+        # reject every non-finite matrix checks it (thin_svd and sym_pinv
+        # do, below).
+        a = self.spd(11, 3)
+        a[at] = a[at[::-1]] = np.nan
+        args = (a, np.ones(11)) if entry == "solve" else (a,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ref = getattr(np.linalg, entry)(*args)
+            except np.linalg.LinAlgError as exc:
+                with pytest.raises(NumericalDegeneracyError, match=rf"^op failed: {exc}$"):
+                    getattr(linalg, entry)(*args, "op")
+                return
+            got = getattr(linalg, entry)(*args, "op")
+        for g, r in zip(got, ref) if entry == "eigh" else [(got, ref)]:
+            assert_same_bits(g, r)
+
+    @pytest.mark.parametrize("call, what", [
+        (lambda a: thin_svd(np.vstack([a, a])), "thin_svd: non-finite Gram matrix"),
+        (sym_pinv, "sym_pinv: non-finite matrix"),
+    ])
+    def test_eigh_callers_reject_nan_naming_themselves(self, call, what):
+        a = self.spd(11, 4)
+        a[4, 2] = a[2, 4] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalDegeneracyError, match=rf"^{what}$"):
+                call(a)
 
 
 class TestFixColumnSigns:

@@ -17,7 +17,6 @@ from .belief import (
     load_belief,
     sample_parameters,
     save_belief,
-    spherical_to_dense,
 )
 from .diagonal import DynamicsConfig, LowRankConfig
 from .exceptions import ConfigError, NumericalDegeneracyError
@@ -52,7 +51,6 @@ __all__ = [
     "load_belief",
     "sample_parameters",
     "save_belief",
-    "spherical_to_dense",
 ]
 
 __version__ = "0.1.0"

@@ -214,9 +214,6 @@ def dlr_to_dense(belief, limit=DENSE_ORACLE_LIMIT):
     return DenseBelief(mean, 0.5 * (prec + prec.T))
 
 
-spherical_to_dense = dlr_to_dense
-
-
 def sample_parameters(belief, n, rng_seed, method="lowrank"):
     """Draw ``n`` i.i.d. parameter vectors from the belief, shape (n, P).
 

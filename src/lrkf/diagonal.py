@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import DlrBelief, validated
+from .inflation import InflationConfig
 from .linalg import cholesky, inv, symmetrize, thin_svd, woodbury_mean
 from .models import initialize_mean, linearize
 
@@ -76,7 +77,7 @@ class LowRankConfig:
 
     rank: int
     dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
-    inflation: object = None  # InflationConfig; None means no inflation
+    inflation: InflationConfig = InflationConfig()  # the default inflates nothing
 
     def __post_init__(self):
         if self.rank < 0:

@@ -117,6 +117,13 @@ def validate_config(cfg, verb=None):
     if p["steady_state"] and gap > 1e-12:  # as diagonal.DynamicsConfig demands
         problems.append("method.steady_state: needs gamma^2 + process_noise * "
                         f"initial_precision == 1 (off by {gap:.3e})")
+    variant, alpha = p["inflation"], p["inflation_alpha"]
+    if method and "inflation" in defaults("method", method) and variant in schema.VARIANTS:
+        # inflation is off at variant none or alpha 0, so either alone would be ignored
+        if variant == "none" and alpha > 0:
+            problems.append("method.inflation_alpha: needs an inflation other than none")
+        elif variant != "none" and alpha == 0:
+            problems.append(f"method.inflation: {variant} needs inflation_alpha > 0")
     for key, rng in _tune_space(cfg).items():
         if not rng.low <= rng.high or (rng.log and not rng.low > 0):
             log = " and lo > 0 (log scale)" if rng.log else ""

@@ -16,6 +16,9 @@ low-rank factor by ``1/sqrt(1+alpha)``:
 ``eta`` here is the precision of the latent unconditional prior, which
 evolves as ``eta_t^-1 = gamma^2 eta_{t-1}^-1 + q`` alongside the running
 product ``Gamma_t = prod gamma_i``; :class:`LatentPrior` tracks both.
+A filter learner passes its own :class:`LatentPrior`, advanced once per
+update, and its initial mean as ``mu0``; :class:`InflationConfig` holds
+only the strength and the variant.
 """
 
 from dataclasses import dataclass
@@ -30,12 +33,10 @@ VARIANTS = ("none", "bayesian", "simple", "hybrid")
 
 @dataclass(frozen=True)
 class InflationConfig:
-    """Inflation strength and variant, plus what the bayesian mean pull needs."""
+    """Inflation strength and variant; the default is no inflation."""
 
     alpha: float = 0.0
     variant: str = "none"
-    prior_mean_ref: np.ndarray = None  # mu0; required for bayesian
-    gamma_product: float = 1.0  # running Gamma_{t-1}
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -56,11 +57,11 @@ class LatentPrior:
         self.gamma_product *= gamma
 
 
-def inflate_dlr(belief, cfg, eta_latent):
+def inflate_dlr(belief, cfg, latent, prior_mean):
     """Apply one inflation step to a DLR belief.
 
-    ``eta_latent`` is the current latent prior precision; it only enters
-    the bayesian and hybrid diagonals and the bayesian mean pull.
+    ``latent.eta`` enters the bayesian and hybrid diagonals, and the
+    bayesian mean pull targets ``latent.gamma_product * prior_mean``.
     """
     if cfg.variant == "none" or cfg.alpha == 0.0:
         return belief
@@ -69,24 +70,22 @@ def inflate_dlr(belief, cfg, eta_latent):
     w = belief.low_rank * np.sqrt(shrink)
     if cfg.variant == "simple":
         return validated(what, DlrBelief, belief.mean, belief.diag_precision * shrink, w)
-    diag = belief.diag_precision * shrink + a * eta_latent * shrink
+    diag = belief.diag_precision * shrink + a * latent.eta * shrink
     if cfg.variant == "hybrid":
         return validated(what, DlrBelief, belief.mean, diag, w)
     # bayesian: also pull the mean toward the decayed prior mean
-    if cfg.prior_mean_ref is None:
-        raise ValueError("bayesian inflation needs prior_mean_ref")
-    target = cfg.gamma_product * np.asarray(cfg.prior_mean_ref, dtype=float)
-    rhs = (a * eta_latent * shrink) * (target - belief.mean)
+    target = latent.gamma_product * np.asarray(prior_mean, dtype=float)
+    rhs = (a * latent.eta * shrink) * (target - belief.mean)
     mean = woodbury_mean(belief.mean, diag, w, rhs)
     return validated(what, DlrBelief, mean, diag, w)
 
 
-def inflate_spherical(belief, cfg):
+def inflate_spherical(belief, cfg, latent, prior_mean):
     """Spherical counterpart of :func:`inflate_dlr`.
 
     The latent prior precision coincides with the spherical part here, so
     bayesian and hybrid leave ``eta`` untouched and only the singular
-    values shrink; simple also deflates ``eta``.
+    values shrink; simple also deflates ``eta``. ``latent.eta`` is unused.
     """
     if cfg.variant == "none" or cfg.alpha == 0.0:
         return belief
@@ -97,10 +96,8 @@ def inflate_spherical(belief, cfg):
     if cfg.variant == "hybrid":
         return validated(what, belief.on_same_basis, belief.mean, belief.eta, lam)
     # bayesian: the pull solves against eta I + U diag(lam)^2 U^T
-    if cfg.prior_mean_ref is None:
-        raise ValueError("bayesian inflation needs prior_mean_ref")
     eta = belief.eta
-    target = cfg.gamma_product * np.asarray(cfg.prior_mean_ref, dtype=float)
+    target = latent.gamma_product * np.asarray(prior_mean, dtype=float)
     rhs = (a * eta / (1.0 + a)) * (target - belief.mean)
     mean = woodbury_mean(belief.mean, eta, belief.basis * lam, rhs)
     return validated(what, belief.on_same_basis, mean, eta, lam)

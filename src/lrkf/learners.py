@@ -8,24 +8,27 @@ A learner owns its belief (or parameter vector) and exposes two calls:
   belief.
 * ``observe(x, y)`` consumes one labeled example and advances the state.
 
-Every filter, the diagonal and iterated EKFs included, is a Bayesian
-learner: it supplies ``_predict_belief`` and ``_update(pred, lin, y, x)``
-and computes its predicted belief once per state. The belief returned by
-``predicted_belief()`` is cached and shared by ``predict()``,
-``observe()`` and the bandit agent's ``act()`` and ``learn()`` until the
-state changes, and so is the network pass ``predict()`` makes. The one
-``observe`` linearizes from that pass, and the iterated filters
-relinearize at ``x`` from there. Every state change goes through
-``_commit``, which drops both. Three classes bind ``observe`` (one also
-``predict``) again only because perfbench's tracer pins the names each
-class defines itself, until ROADMAP item 8 Part B.
+Every filter is a Bayesian learner. It hands its initial belief to
+``_BayesianLearner.__init__``, which keeps its mean as the prior mean
+and starts the latent prior that inflation reads, supplies
+``_predict_belief`` and ``_update(pred, lin, y, x)``, and computes its
+predicted belief once per state. The diagonal EKFs (vdekf, fdekf) are
+rank-0 ``LowRankFilterLearner`` s with their own gain-form update. The
+belief returned by ``predicted_belief()`` is cached and shared by
+``predict()``, ``observe()`` and the bandit agent's ``act()`` and
+``learn()`` until the state changes, and so is the network pass
+``predict()`` makes. The one ``observe`` linearizes from that pass, and
+the iterated filters relinearize at ``x`` from there. Every state change
+goes through ``_commit``, which drops both. Three classes bind
+``observe`` (one also ``predict``) again only because perfbench's tracer
+pins the names each class defines itself, until ROADMAP item 8 Part B.
 
 The module-level ``REGISTRY`` maps each method tag to its factory and
 capabilities; the config keys each method reads are in :mod:`lrkf.schema`.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -47,9 +50,11 @@ class PredictOutput:
 class _BayesianLearner:
     """Shared predict/observe plumbing over predicted beliefs."""
 
-    def __init__(self, model, cfg):
+    def __init__(self, model, cfg, belief):
         self.model = model
         self.cfg = cfg
+        self.belief = belief
+        self._init_mean = belief.mean  # mu0, the bayesian inflation's target
         self.latent = LatentPrior(cfg.dynamics.initial_precision)
         self.t = 0
         self._pred = None
@@ -89,27 +94,15 @@ class _BayesianLearner:
         self.latent.advance(dyn.gamma, dyn.process_noise)
         self.t += 1
 
-    def _inflation_cfg(self):
-        """The inflation settings with this step's Gamma product, pulling
-        toward the initial mean unless they name a prior mean."""
-        cfg = self.cfg.inflation
-        if cfg is None:
-            return None
-        ref = self._init_mean if cfg.prior_mean_ref is None else cfg.prior_mean_ref
-        return replace(cfg, prior_mean_ref=ref, gamma_product=self.latent.gamma_product)
-
 
 class LowRankFilterLearner(_BayesianLearner):
     """Diagonal-plus-low-rank filter."""
 
     def __init__(self, model, cfg, seed):
-        super().__init__(model, cfg)
-        self.belief = diagonal.initial_belief(model, cfg, seed)
-        self._init_mean = self.belief.mean
+        super().__init__(model, cfg, diagonal.initial_belief(model, cfg, seed))
 
     def _inflate(self, belief):
-        icfg = self._inflation_cfg()
-        return belief if icfg is None else inflate_dlr(belief, icfg, self.latent.eta)
+        return inflate_dlr(belief, self.cfg.inflation, self.latent, self._init_mean)
 
     def _predict_belief(self, belief):
         return diagonal.predict(belief, self.cfg, getattr(self.model, "out_dim", 0))
@@ -122,14 +115,11 @@ class SphericalFilterLearner(_BayesianLearner):
     """Spherical low-rank filter; ``mode`` picks the SVD or projection update."""
 
     def __init__(self, model, cfg, seed, mode="svd"):
-        super().__init__(model, cfg)
+        super().__init__(model, cfg, spherical.initial_belief(model, cfg, seed))
         self.mode = mode
-        self.belief = spherical.initial_belief(model, cfg, seed)
-        self._init_mean = self.belief.mean
 
     def _inflate(self, belief):
-        icfg = self._inflation_cfg()
-        return belief if icfg is None else inflate_spherical(belief, icfg)
+        return inflate_spherical(belief, self.cfg.inflation, self.latent, self._init_mean)
 
     def _predict_belief(self, belief):
         return spherical.predict(belief, self.cfg)
@@ -144,11 +134,10 @@ class DenseFilterLearner(_BayesianLearner):
     """Full-covariance EKF, optionally with iterated relinearization."""
 
     def __init__(self, model, cfg, seed, iterated=None):
-        super().__init__(model, cfg)
-        self.iterated = iterated
         mean = initialize_mean(model.spec, seed)
         cov = np.eye(mean.size) / cfg.dynamics.initial_precision
-        self.belief = baselines.DenseCovBelief(mean, cov)
+        super().__init__(model, cfg, baselines.DenseCovBelief(mean, cov))
+        self.iterated = iterated
 
     def _predict_belief(self, belief):
         return baselines.dense_predict(belief, self.cfg.dynamics)
@@ -175,16 +164,12 @@ class IteratedSphericalLearner(SphericalFilterLearner):
     observe = _BayesianLearner.observe  # a traced name; see the module docstring
 
 
-class DiagonalEkfLearner(_BayesianLearner):
-    """VDEKF or FDEKF baseline: the rank-0 belief with a diagonal update."""
+class DiagonalEkfLearner(LowRankFilterLearner):
+    """VDEKF or FDEKF baseline: the rank-0 DLR filter with a gain-form update."""
 
     def __init__(self, model, dyn, seed, flavor="vdekf"):
-        super().__init__(model, diagonal.LowRankConfig(0, dyn))
+        super().__init__(model, diagonal.LowRankConfig(0, dyn), seed)
         self.flavor = flavor
-        self.belief = diagonal.initial_belief(model, self.cfg, seed)
-
-    def _predict_belief(self, belief):
-        return diagonal.predict(belief, self.cfg)
 
     def _update(self, pred, lin, y, x):
         # read off the module at call time, so a wrapper installed there runs
@@ -232,9 +217,7 @@ def _dyn(p):
 
 
 def _lowrank_cfg(p):
-    inflation = None if p["inflation"] == "none" else InflationConfig(
-        p["inflation_alpha"], p["inflation"]
-    )
+    inflation = InflationConfig(p["inflation_alpha"], p["inflation"])
     return diagonal.LowRankConfig(p["rank"], _dyn(p), inflation)
 
 

@@ -103,23 +103,17 @@ def plugin_predict(belief, model, x):
     return GaussianPrediction(out, family.obs_cov(out.shape[0]), family.obs_chol(out.shape[0]))
 
 
-def mc_predict(belief, model, x, y, n_samples, rng_seed, temperature=1.0):
+def mc_predict(belief, model, x, y, n_samples, rng_seed):
     """Monte Carlo NLPD: ``-log mean_s p(y | x, theta_s)``.
 
     The S draws (perturb-and-solve, O(S P L + P L^2) for every P) go
     through one batched ``model.forward`` call and their log-likelihoods
     are computed as one array; for a Gaussian family each residual row is
     whitened against the family's fixed factor in one stacked solve.
-    ``temperature`` scales the parameter covariance before sampling; 0
-    short-circuits to the plugin NLL.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if temperature == 0.0:
-        return plugin_predict(belief, model, x).nll(y)
     draws = sample_parameters(belief, n_samples, rng_seed)
-    if temperature != 1.0:
-        draws = belief.mean + np.sqrt(temperature) * (draws - belief.mean)
     out = model.forward(x, draws)
     family = model.family
     if family.kind == "categorical":

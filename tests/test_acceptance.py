@@ -18,9 +18,9 @@ import pytest
 from scipy import stats
 
 from lrkf import baselines, diagonal, spherical
-from lrkf.belief import DenseCovBelief, DlrBelief, spherical_to_dense
+from lrkf.belief import DenseCovBelief, DlrBelief, dlr_to_dense
 from lrkf.diagonal import DynamicsConfig, LowRankConfig
-from lrkf.inflation import InflationConfig, inflate_dlr, inflate_spherical
+from lrkf.inflation import InflationConfig, LatentPrior, inflate_dlr, inflate_spherical
 from lrkf.learners import (
     DenseFilterLearner,
     DiagonalEkfLearner,
@@ -211,9 +211,9 @@ def test_06_predict_matches_dense_oracle():
         rank_s = max(rank, 1)
         bs = random_spherical(p, min(rank_s, p), seed=trial)
         oracle_s = np.linalg.inv(
-            gamma**2 * np.linalg.inv(spherical_to_dense(bs).precision) + q * np.eye(p)
+            gamma**2 * np.linalg.inv(dlr_to_dense(bs).precision) + q * np.eye(p)
         )
-        got_s = spherical_to_dense(spherical.predict(bs, cfg)).precision
+        got_s = dlr_to_dense(spherical.predict(bs, cfg)).precision
         worst = max(worst, np.linalg.norm(got_s - oracle_s) / np.linalg.norm(oracle_s))
     elapsed = time.time() - start
     ok = worst < 1e-9 and elapsed < 5
@@ -426,11 +426,10 @@ def test_13_inflation_formula_equivalence():
     mu0 = np.random.default_rng(13).standard_normal(4)
     for alpha in (0.0, 0.01, 0.5):
         for variant in ("bayesian", "simple", "hybrid"):
-            cfg = InflationConfig(alpha=alpha, variant=variant, prior_mean_ref=mu0,
-                                  gamma_product=0.97)
+            cfg = InflationConfig(alpha=alpha, variant=variant)
             b = random_dlr(4, 2, seed=int(alpha * 100) + 7)
             eta = 0.9
-            out = inflate_dlr(b, cfg, eta_latent=eta)
+            out = inflate_dlr(b, cfg, LatentPrior(eta, 0.97), mu0)
             prec = dense_precision(b)
             if variant == "simple":
                 exp_prec = prec / (1 + alpha)
@@ -448,8 +447,8 @@ def test_13_inflation_formula_equivalence():
                 np.max(np.abs(out.mean - exp_mean)),
             )
             bs = random_spherical(4, 2, seed=int(alpha * 100) + 11)
-            outs = inflate_spherical(bs, cfg)
-            prec_s = spherical_to_dense(bs).precision
+            outs = inflate_spherical(bs, cfg, LatentPrior(eta, 0.97), mu0)
+            prec_s = dlr_to_dense(bs).precision
             if variant == "simple":
                 exp_prec_s = prec_s / (1 + alpha)
                 exp_mean_s = bs.mean
@@ -462,7 +461,7 @@ def test_13_inflation_formula_equivalence():
                     )
             worst = max(
                 worst,
-                np.max(np.abs(spherical_to_dense(outs).precision - exp_prec_s)),
+                np.max(np.abs(dlr_to_dense(outs).precision - exp_prec_s)),
                 np.max(np.abs(outs.mean - exp_mean_s)),
             )
     elapsed = time.time() - start

@@ -10,7 +10,6 @@ from lrkf.belief import (
     load_belief,
     sample_parameters,
     save_belief,
-    spherical_to_dense,
 )
 from lrkf.exceptions import NumericalDegeneracyError
 
@@ -70,19 +69,19 @@ def test_dense_oracle_limit_enforced():
 
 def test_spherical_to_dense_identity():
     b = SphericalBelief(np.zeros(2), 1.0, np.zeros((2, 0)), np.zeros(0))
-    assert spherical_to_dense(b).precision == pytest.approx(np.eye(2))
+    assert dlr_to_dense(b).precision == pytest.approx(np.eye(2))
 
 
 def test_spherical_to_dense_axis_aligned():
     b = SphericalBelief(np.zeros(2), 2.0, np.array([[1.0], [0.0]]), np.array([3.0]))
-    assert spherical_to_dense(b).precision == pytest.approx(np.array([[11.0, 0.0], [0.0, 2.0]]))
+    assert dlr_to_dense(b).precision == pytest.approx(np.array([[11.0, 0.0], [0.0, 2.0]]))
 
 
 def test_spherical_to_dense_random():
     b = random_spherical(5, 2, seed=3)
     w = b.basis * b.singular_values
     expected = b.eta * np.eye(5) + w @ w.T
-    assert spherical_to_dense(b).precision == pytest.approx(expected, abs=1e-12)
+    assert dlr_to_dense(b).precision == pytest.approx(expected, abs=1e-12)
 
 
 def test_spherical_invariants_enforced():
@@ -115,7 +114,7 @@ def test_spherical_checks_only_its_live_columns():
     basis = np.column_stack([q, np.full(6, 3.0)])  # the last column neither unit nor orthogonal
     b = SphericalBelief(np.zeros(6), 1.0, basis, [2.0, 1.0, 0.0])
     w = q * [2.0, 1.0]
-    assert spherical_to_dense(b).precision == pytest.approx(np.eye(6) + w @ w.T, abs=1e-12)
+    assert dlr_to_dense(b).precision == pytest.approx(np.eye(6) + w @ w.T, abs=1e-12)
     with pytest.raises(ValueError, match="basis columns are not orthonormal"):
         SphericalBelief(np.zeros(6), 1.0, basis, [2.0, 1.0, 1e-300])
 
@@ -181,7 +180,7 @@ class TestSampling:
 
     def test_spherical_belief_sampling(self):
         b = random_spherical(4, 2, seed=2)
-        target = np.linalg.inv(spherical_to_dense(b).precision)
+        target = np.linalg.inv(dlr_to_dense(b).precision)
         draws = sample_parameters(b, 150_000, rng_seed=3)
         rel = np.linalg.norm(np.cov(draws.T) - target) / np.linalg.norm(target)
         assert rel < 0.05
@@ -268,8 +267,8 @@ class TestCheckpointing:
         back = load_belief(path)
         assert isinstance(back, SphericalBelief)
         assert back.eta == pytest.approx(b.eta)
-        orig = spherical_to_dense(b).precision
-        assert spherical_to_dense(back).precision == pytest.approx(orig, abs=1e-10)
+        orig = dlr_to_dense(b).precision
+        assert dlr_to_dense(back).precision == pytest.approx(orig, abs=1e-10)
 
     def test_f_ordered_factor_roundtrips_bit_for_bit(self, tmp_path):
         b = random_dlr(7, 3, seed=12)

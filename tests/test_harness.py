@@ -143,6 +143,18 @@ class TestParsingAndValidation:
         assert any(p.startswith("method.inflation:") and tag in p for p in problems)
         assert any(p.startswith("method.inflation_alpha:") and tag in p for p in problems)
 
+    @pytest.mark.parametrize("tag", ["lrekf", "lrekf_spherical"])
+    @pytest.mark.parametrize("line, problem", [
+        ("inflation = bayesian", "method.inflation: bayesian needs inflation_alpha > 0"),
+        ("inflation_alpha = 0.3", "method.inflation_alpha: needs an inflation other than none"),
+    ])
+    def test_inflation_without_its_pair_is_named(self, tag, line, problem, tmp_path):
+        # either key alone leaves inflation off
+        text = BASIC.format(out=tmp_path / "o").replace("name = lrekf", f"name = {tag}")
+        path = write_config(tmp_path / "c.ini", text.replace("rank = 3", f"rank = 3\n{line}"))
+        assert validate_config(parse_config(path)) == [problem]
+        assert main(["validate", path]) == 1
+
     @pytest.mark.parametrize("section, line, bad", [
         ("method", "rank = 3", "rank = ten"),
         ("method", "process_noise = 1e-4", "process_noise = small"),

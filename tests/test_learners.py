@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrkf import belief, diagonal, linalg, spherical
+from lrkf import baselines, belief, diagonal, linalg, spherical
 from lrkf.bandit import (
     FilterBanditAgent,
     env_from_stream,
@@ -13,6 +13,7 @@ from lrkf.bandit import (
     run_bandit,
 )
 from lrkf.exceptions import NumericalDegeneracyError
+from lrkf.inflation import InflationConfig, LatentPrior, inflate_dlr, inflate_spherical
 from lrkf.learners import REGISTRY, build_learner
 from lrkf.models import CategoricalFamily, GaussianFamily, MlpModel, MlpSpec, linearize
 from lrkf.predictive import gaussian_predict, mc_predict, probit_predict
@@ -101,6 +102,60 @@ def test_observe_drops_the_cached_prediction(tag):
         assert vars(cached).keys() == vars(fresh).keys()
         for key, value in vars(cached).items():
             np.testing.assert_array_equal(value, vars(fresh)[key])
+
+
+def assert_same_belief(got, want):
+    assert type(got) is type(want)
+    assert vars(got).keys() == vars(want).keys()
+    for key, value in vars(got).items():
+        np.testing.assert_array_equal(value, vars(want)[key])
+
+
+@pytest.mark.parametrize("variant", ["bayesian", "hybrid", "simple"])
+@pytest.mark.parametrize("tag", ["lrekf", "lrekf_spherical"])
+def test_inflating_learner_matches_hand_composed_steps(tag, variant):
+    # inflation reads the learner's latent prior, advanced once per update,
+    # and its initial mean; gamma < 1 makes the Gamma product move
+    model, events = sine_setup()
+    params = {"rank": 3, "gamma": 0.99, "process_noise": 1e-4,
+              "inflation": variant, "inflation_alpha": 0.05}
+    learner = build_learner(tag, model, params, seed=0)
+    dyn = diagonal.DynamicsConfig(0.99, 1e-4)
+    cfg = diagonal.LowRankConfig(3, dyn, InflationConfig(0.05, variant))
+    b = (diagonal if tag == "lrekf" else spherical).initial_belief(model, cfg, 0)
+    mu0, latent = b.mean, LatentPrior(dyn.initial_precision)
+    for ev in events[:20]:
+        y_hat = learner.predict(ev.x).y_hat
+        learner.observe(ev.x, ev.y)
+        if tag == "lrekf":
+            pred = diagonal.predict(inflate_dlr(b, cfg.inflation, latent, mu0), cfg, model.out_dim)
+            lin = linearize(model, ev.x, pred.mean)
+            b = diagonal.update(pred, lin, ev.y, cfg)
+        else:
+            pred = spherical.predict(inflate_spherical(b, cfg.inflation, latent, mu0), cfg)
+            lin = linearize(model, ev.x, pred.mean)
+            b = spherical.update_svd(pred, lin, ev.y, cfg)
+        latent.advance(dyn.gamma, dyn.process_noise)
+        np.testing.assert_array_equal(y_hat, lin.y_hat)
+        assert_same_belief(learner.belief, b)
+    assert latent.gamma_product < 1.0
+
+
+@pytest.mark.parametrize("tag", ["vdekf", "fdekf"])
+def test_diagonal_ekf_is_rank_zero_predict_then_its_gain_form_step(tag):
+    model, events = sine_setup()
+    learner = build_learner(tag, model, {"gamma": 0.99, "process_noise": 1e-4}, seed=0)
+    cfg = diagonal.LowRankConfig(0, diagonal.DynamicsConfig(0.99, 1e-4))
+    step = baselines.vdekf_step if tag == "vdekf" else baselines.fdekf_step
+    b = diagonal.initial_belief(model, cfg, 0)
+    for ev in events[:20]:
+        y_hat = learner.predict(ev.x).y_hat
+        learner.observe(ev.x, ev.y)
+        pred = diagonal.predict(b, cfg)
+        lin = linearize(model, ev.x, pred.mean)
+        b = step(pred, lin, ev.y)
+        np.testing.assert_array_equal(y_hat, lin.y_hat)
+        assert_same_belief(learner.belief, b)
 
 
 @pytest.mark.parametrize("kind", ["categorical", "bandit"])

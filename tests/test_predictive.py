@@ -92,15 +92,6 @@ class TestMonteCarlo:
         c = mc_predict(b, model, x, y, n_samples=1, rng_seed=9)
         assert a == c
 
-    def test_temperature_zero_short_circuits_to_plugin(self):
-        model = MlpModel(MlpSpec((2, 3, 1)), GaussianFamily(1.0))
-        b = random_dlr(model.parameter_count, 1, seed=5)
-        x = np.array([1.0, 0.0])
-        y = np.array([0.4])
-        assert mc_predict(b, model, x, y, 16, 0, temperature=0.0) == pytest.approx(
-            plugin_predict(b, model, x).nll(y)
-        )
-
     def test_linear_gaussian_nlpd_matches_closed_form(self):
         d, r = 2, 0.5
         model = FunctionModel(

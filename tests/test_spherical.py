@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrkf import harness, spherical
-from lrkf.belief import SphericalBelief, spherical_to_dense
+from lrkf.belief import SphericalBelief, dlr_to_dense
 from lrkf.diagonal import DynamicsConfig, LowRankConfig
 from lrkf.diagonal import predict as dlr_predict
 from lrkf.belief import DlrBelief, dlr_to_dense
@@ -81,9 +81,9 @@ class TestPredict:
         gamma, q = 0.97, 0.05
         cfg = LowRankConfig(rank=2, dynamics=DynamicsConfig(gamma, q))
         out = predict(b, cfg)
-        prec = spherical_to_dense(b).precision
+        prec = dlr_to_dense(b).precision
         oracle = np.linalg.inv(gamma**2 * np.linalg.inv(prec) + q * np.eye(6))
-        got = spherical_to_dense(out).precision
+        got = dlr_to_dense(out).precision
         assert np.linalg.norm(got - oracle) / np.linalg.norm(oracle) < 1e-9
 
     def test_matches_diagonal_predict_on_shared_representation(self):
@@ -95,7 +95,7 @@ class TestPredict:
         dlr = dlr_predict(
             DlrBelief(b.mean, np.full(6, b.eta), b.basis * b.singular_values), cfg
         )
-        a = spherical_to_dense(sph).precision
+        a = dlr_to_dense(sph).precision
         c = dlr_to_dense(dlr).precision
         assert np.max(np.abs(a - c)) < 1e-10
 
@@ -112,7 +112,7 @@ class TestPredict:
 
 
 def spherical_ekf_mean_oracle(b, jac, r, y, y_hat):
-    prec = spherical_to_dense(b).precision
+    prec = dlr_to_dense(b).precision
     prec_star = prec + jac.T @ np.linalg.inv(r) @ jac
     return b.mean + np.linalg.solve(prec_star, jac.T @ np.linalg.inv(r) @ (y - y_hat))
 

@@ -9,8 +9,10 @@ with ``metrics = rmse nll nlpd``, under ``lrekf_spherical`` with
 of 100 steps per task, under ``lrekf_spherical`` with ``metrics = rmse nll nlpd`` on that
 shorter stream (the sampler reads the spherical basis from the first
 event on, while its dead columns are being filled), and with
-``[model] activation = relu`` under ``lrekf`` and ``vdekf`` on it;
-``demos/configs/bandit.ini``; and the benchmark's categorical
+``[model] activation = relu`` under ``lrekf`` and ``vdekf`` on it, and
+with each inflation variant (``bayesian``, ``hybrid``, ``simple``) at
+``inflation_alpha = 0.05`` under ``lrekf`` and ``lrekf_spherical`` on
+that shorter stream; ``demos/configs/bandit.ini``; and the benchmark's categorical
 ``perfbench/configs/wide.ini`` (read, not changed). The other runs keep
 their shipped length. Each runs into its own temporary directory, and
 the script prints one ``sha256 path`` line per CSV written (``path``
@@ -65,6 +67,11 @@ def runs(harness):
     relu = replace(short, model={**short.model, "activation": "relu"})
     for method in ("lrekf", "vdekf"):
         yield f"sine-relu-{method}", harness.run_experiment, replace(relu, method=method)
+    for method in ("lrekf", "lrekf_spherical"):
+        for variant in ("bayesian", "hybrid", "simple"):
+            params = {**short.method_params, "inflation": variant, "inflation_alpha": 0.05}
+            yield f"sine-{method}-inflation-{variant}", harness.run_experiment, replace(
+                short, method=method, method_params=params)
     bandit = harness.parse_config(str(ROOT / "demos/configs/bandit.ini"))
     yield "bandit", harness.run_bandit_experiment, bandit
     wide = harness.parse_config(str(ROOT / "perfbench/configs/wide.ini"))

@@ -1,8 +1,9 @@
 """Reference filters and optimizers the low-rank filter is compared against.
 
-* :func:`fcekf_step` is the full-covariance extended Kalman filter on a
-  :class:`~lrkf.belief.DenseCovBelief`, exact up to linearization, with no
-  matrix inverse. It doubles as the dense oracle in tests.
+* :func:`dense_predict` and :func:`dense_update` are the full-covariance
+  extended Kalman filter on a :class:`~lrkf.belief.DenseCovBelief`, exact
+  up to linearization, with no matrix inverse; the ``fcekf`` learner
+  steps through them.
 * :func:`fdekf_step` and :func:`vdekf_step` keep only a diagonal: each
   conditions a rank-0 belief, drifted by :func:`lrkf.diagonal.predict`,
   on one linearization. VDEKF matches the diagonal of the posterior
@@ -79,16 +80,6 @@ def dense_update(belief_pred, lin, y):
     innov = lin.innovation(y)
     h_cov, gain_t = _dense_gain(belief_pred.cov, lin)
     return _dense_posterior(belief_pred.mean + innov @ gain_t, belief_pred.cov, h_cov, gain_t)
-
-
-def fcekf_step(belief, model, x, y, dyn):
-    """One predict+update of the full-covariance EKF.
-
-    Returns the posterior and the pre-update prediction ``y_hat``.
-    """
-    pred = dense_predict(belief, dyn)
-    lin = linearize(model, x, pred.mean)
-    return dense_update(pred, lin, y), lin.y_hat
 
 
 # ---------------------------------------------------------------------------

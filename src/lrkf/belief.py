@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalDegeneracyError
-from .linalg import cholesky, solve, thin_svd
+from .linalg import solve, thin_svd
 
-# Largest P for which dense P x P reconstructions are allowed: the dense
-# conversions and the dense sampling oracle. No production path uses them.
+# Largest P for which dlr_to_dense builds the P x P precision, the oracle
+# tests and demos read. No run builds it.
 DENSE_ORACLE_LIMIT = 200
 
 _min, _max, _all, _sum = np.minimum.reduce, np.maximum.reduce, np.logical_and.reduce, np.add.reduce
@@ -214,7 +214,7 @@ def dlr_to_dense(belief, limit=DENSE_ORACLE_LIMIT):
     return DenseBelief(mean, 0.5 * (prec + prec.T))
 
 
-def sample_parameters(belief, n, rng_seed, method="lowrank"):
+def sample_parameters(belief, n, rng_seed):
     """Draw ``n`` i.i.d. parameter vectors from the belief, shape (n, P).
 
     The sampler perturbs and solves (Papandreou & Yuille, 2010). With
@@ -223,18 +223,12 @@ def sample_parameters(belief, n, rng_seed, method="lowrank"):
     ``I + M M^T``, so ``v = (I + M M^T)^-1 u = z + M (I + M^T M)^-1 (z' - M^T z)``
     has its inverse and ``mean + D^-1/2 v`` is a draw. Only the L x L core
     is solved: O(n P L + P L^2) for every P, with no SVD and no P x P
-    matrix. ``method="dense"`` factors the P x P precision instead; it is
-    the test oracle, limited to P <= ``DENSE_ORACLE_LIMIT``.
+    matrix.
     """
     mean, diag, w = _dlr_parts(belief)
     p, rank = w.shape
     rng = np.random.default_rng(rng_seed)
     v = rng.standard_normal((n, p))
-    if method == "dense":
-        chol = cholesky(dlr_to_dense(belief).precision, "Cholesky of belief precision")
-        return mean + np.linalg.solve(chol.T, v.T).T  # covariance (L L^T)^-1
-    if method != "lowrank":
-        raise ValueError(f"unknown sampling method {method!r}")
     if not diag.min() > 0:
         raise NumericalDegeneracyError("non-positive diagonal precision")
     d_isqrt = 1.0 / np.sqrt(diag)

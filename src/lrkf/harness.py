@@ -35,8 +35,9 @@ from .streams import (
 )
 
 WORKERS_ENV = "LRKF_WORKERS"
-# a failed seed: lost positive definiteness or a non-finite value
-SEED_FAILURES = (NumericalDegeneracyError, np.linalg.LinAlgError, FloatingPointError)
+# a failed seed: lost positive definiteness or a non-finite value, or an
+# SVD that did not converge (thin_svd's P <= K branch calls np.linalg.svd)
+SEED_FAILURES = (NumericalDegeneracyError, np.linalg.LinAlgError)
 _EXPERIMENT = defaults("experiment")
 METRIC_HEADER = "t,task_id,seed,method,metric,value\n"
 
@@ -99,6 +100,10 @@ def validate_config(cfg, verb=None):
     problems.extend(f"bandit.{key}: not read by lrkf {verb}; use lrkf bandit"
                     for key in cfg.bandit if verb)
     # the schema checks each key alone; these rules tie keys together
+    repeated = sorted({seed for seed in cfg.seeds if cfg.seeds.count(seed) > 1})
+    if repeated:
+        problems.append(f"experiment.seeds: repeats {' '.join(map(str, repeated))}; "
+                        "list each seed once")
     if cfg.passes > 1 and kind != schema.CSV:
         problems.append(
             "experiment.passes: multiple passes are only valid for static streams (csv)"

@@ -48,24 +48,12 @@ class PiecewiseSineSpec:
             raise ValueError("num_tasks must be >= 1")
 
 
-def _sine_coefficients(spec, rng):
+def gen_piecewise_sine(spec, seed):
+    rng = np.random.default_rng(seed)
     # one (phase, frequency) pair per task, drawn once per stream; the
     # frequency range keeps consecutive tasks visibly distinct
     w0 = rng.uniform(0.0, 2.0 * np.pi, size=spec.num_tasks)
     w1 = rng.uniform(1.0, 3.0, size=spec.num_tasks)
-    return w0, w1
-
-
-def piecewise_sine_fn(spec, seed, task):
-    """The noiseless task function, for building held-out test sets."""
-    rng = np.random.default_rng(seed)
-    w0, w1 = _sine_coefficients(spec, rng)
-    return lambda x: x + 0.3 * np.sin(w0[task] + w1[task] * np.pi * x)
-
-
-def gen_piecewise_sine(spec, seed):
-    rng = np.random.default_rng(seed)
-    w0, w1 = _sine_coefficients(spec, rng)
     events = []
     total = spec.num_tasks * spec.steps_per_task
     for t in range(total):
@@ -75,17 +63,6 @@ def gen_piecewise_sine(spec, seed):
         y += rng.normal(0.0, spec.noise_sd) if spec.noise_sd > 0 else 0.0
         events.append(StreamEvent(np.array([x]), np.array([y]), task, t))
     return events
-
-
-def piecewise_sine_test_sets(spec, seed, n_per_task=200, test_seed=1):
-    """Held-out (x, y) arrays per task, noiseless targets."""
-    rng = np.random.default_rng(test_seed)
-    sets = []
-    for task in range(spec.num_tasks):
-        fn = piecewise_sine_fn(spec, seed, task)
-        xs = rng.uniform(-2.0, 2.0, size=n_per_task)
-        sets.append((xs.reshape(-1, 1), fn(xs)))
-    return sets
 
 
 def drifting_oscillator(t_frac, amplitude_growth=1.0):
@@ -258,8 +235,7 @@ def _rolling_mean(values, window):
     return out
 
 
-def prequential_eval(learner, stream, metrics, window=1, nlpd_samples=100, seed=0,
-                     test_sets=None, test_every=50):
+def prequential_eval(learner, stream, metrics, window=1, nlpd_samples=100, seed=0):
     """Score one-step-ahead predictions, then train, one event at a time.
 
     Every prediction is obtained before the event's target is shown to
@@ -273,18 +249,13 @@ def prequential_eval(learner, stream, metrics, window=1, nlpd_samples=100, seed=
     target ``y`` for the point metrics (``rmse``, ``nll``, ``misclass``),
     which are scored after it over the whole stream in one vectorized
     call each; every value equals the one a single-event call gives.
-
-    ``test_sets`` optionally holds one held-out ``(X, y)`` pair per task;
-    every ``test_every`` steps the learner's point predictions are scored
-    on the current task's set and emitted as ``test_rmse`` rows.
     """
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; pick from {METRICS}")
     score_nlpd = "nlpd" in metrics
     meta, y_hats, ys, nlpd = [], [], [], []
-    rows = []
-    for step, ev in enumerate(stream):
+    for ev in stream:
         out = learner.predict(ev.x)
         y = ev.y
         meta.append((ev.t, ev.task_id))
@@ -297,20 +268,14 @@ def prequential_eval(learner, stream, metrics, window=1, nlpd_samples=100, seed=
                 float(mc_predict(out.belief, learner.model, ev.x, y, nlpd_samples, [seed, ev.t]))
             )
         learner.observe(ev.x, y)
-        if test_sets is not None and (step + 1) % test_every == 0:
-            xs, ys_test = test_sets[ev.task_id]
-            preds = np.array([learner.predict(x).y_hat[0] for x in xs])
-            rows.append({
-                "t": ev.t, "task_id": ev.task_id, "metric": "test_rmse",
-                "value": float(np.sqrt(np.mean((preds - ys_test) ** 2))),
-            })
     if not meta:
-        return rows
+        return []
     y_hat = np.array(y_hats, dtype=float).reshape(len(meta), -1)
     y = np.array(ys, dtype=float).reshape(len(meta), -1)
     if y.shape != y_hat.shape:
         raise ValueError(f"targets of shape {y.shape[1:]} do not match predictions "
                          f"of shape {y_hat.shape[1:]}; classes need one-hot labels")
+    rows = []
     for m in metrics:
         raw = nlpd if m == "nlpd" else _point_scores(m, learner, y_hat, y)
         values = _rolling_mean(raw, window)

@@ -40,6 +40,7 @@ from lrkf.predictive import probit_predict
 from lrkf.streams import PiecewiseSineSpec, gen_piecewise_sine, load_csv_regression
 
 from conftest import dense_precision, fd_jacobian, random_dlr, random_spherical, relu_safe_theta
+from oracles import fcekf_step
 
 
 def report(criterion, ok, detail):
@@ -63,7 +64,7 @@ def test_01_full_rank_matches_fcekf():
         x = rng.uniform(-2, 2, 2)
         y = np.array([np.sin(x.sum()) + 0.1 * rng.standard_normal()])
         b_lr, _ = diagonal.step(b_lr, x, y, model, cfg)
-        b_fc, _ = baselines.fcekf_step(b_fc, model, x, y, dyn)
+        b_fc, _ = fcekf_step(b_fc, model, x, y, dyn)
         worst_mean = max(
             worst_mean,
             np.max(np.abs(b_lr.mean - b_fc.mean)) / max(1.0, np.max(np.abs(b_fc.mean))),
@@ -151,7 +152,7 @@ def test_04_conjugate_exactness():
     for _ in range(30):
         x = rng.standard_normal(d)
         y = np.array([x @ [1.0, -2.0, 0.5] + rng.normal(0, 0.2)])
-        b_fc, _ = baselines.fcekf_step(b_fc, model, x, y, dyn)
+        b_fc, _ = fcekf_step(b_fc, model, x, y, dyn)
         b_lr, _ = diagonal.step(b_lr, x, y, model, cfg)
         b_ie1 = baselines.iterated_ekf_update(
             b_ie1, linearize(model, x, b_ie1.mean), model, x, y, baselines.IteratedConfig(1))

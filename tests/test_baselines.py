@@ -12,7 +12,6 @@ from lrkf.baselines import (
     Sgd,
     dense_predict,
     dense_update,
-    fcekf_step,
     fdekf_step,
     iterated_ekf_update,
     iterated_lowrank_update,
@@ -34,6 +33,7 @@ from lrkf.models import (
 from lrkf.spherical import update_svd
 
 from conftest import random_spherical
+from oracles import fcekf_step
 
 
 def linear_model(d, r):

@@ -155,6 +155,22 @@ class TestParsingAndValidation:
         assert validate_config(parse_config(path)) == [problem]
         assert main(["validate", path]) == 1
 
+    @pytest.mark.parametrize("verb, seeds, repeats", [
+        ("run", "0 0", "0"), ("run", "2 0 1 0 2", "0 2"), ("bandit", "0 0", "0"),
+    ])
+    def test_repeated_seed_is_named(self, verb, seeds, repeats, tmp_path, capsys):
+        # run twice, a repeated seed writes its rows twice into metrics.csv
+        # while summary.csv counts it once
+        config, line = (BANDIT, "seeds = 0\n") if verb == "bandit" else (BASIC, "seeds = 0 1\n")
+        text = config.format(out=tmp_path / "o").replace(line, f"seeds = {seeds}\n")
+        path = write_config(tmp_path / "c.ini", text)
+        problem = f"experiment.seeds: repeats {repeats}; list each seed once"
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out == problem + "\n"
+        assert main([verb, path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {problem}")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section, line, bad", [
         ("method", "rank = 3", "rank = ten"),
         ("method", "process_noise = 1e-4", "process_noise = small"),

@@ -70,11 +70,7 @@ def sine_setup():
 def test_prequential_eval_predicts_once_per_event(count_diagonal_predict):
     model, events = sine_setup()
     learner = build_learner("lrekf", model, PARAMS, seed=0)
-    xs = np.linspace(-2.0, 2.0, 5)[:, None]
-    test_sets = {0: (xs, xs[:, 0]), 1: (xs, xs[:, 0])}
-    # test-set scoring every 7 steps reuses the belief the next event predicts with
-    prequential_eval(learner, events, ("rmse", "nll", "nlpd"), nlpd_samples=5,
-                     test_sets=test_sets, test_every=7)
+    prequential_eval(learner, events, ("rmse", "nll", "nlpd"), nlpd_samples=5)
     assert len(count_diagonal_predict) == len(events) == 30
 
 
@@ -297,11 +293,13 @@ def test_bandit_runs_one_thin_svd_per_step(monkeypatch):
 
 def test_runtime_decompositions_bypass_numpy_linalg(monkeypatch):
     # every eigh, inv, cholesky and solve of a runtime path is one of
-    # linalg's entries, which call numpy's gufuncs without np.linalg
+    # linalg's entries, which call numpy's gufuncs without np.linalg; every
+    # factor below is tall (P > K), so thin_svd takes its Gram route, and
+    # np.linalg.svd is left to its P <= K branch alone
     def refuse(*args, **kwargs):
         raise AssertionError("a runtime path called np.linalg")
 
-    for name in ("eigh", "inv", "cholesky", "solve"):
+    for name in ("eigh", "inv", "cholesky", "solve", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
     for tag in REGISTRY:
         model, events = sine_setup()

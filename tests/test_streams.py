@@ -342,21 +342,6 @@ class TestPrequential:
         with pytest.raises(ValueError, match="one-hot labels"):
             prequential_eval(learner, events, ("misclass",))
 
-    def test_heldout_task_test_sets(self):
-        from lrkf.streams import piecewise_sine_test_sets
-
-        spec = PiecewiseSineSpec(2, 10, noise_sd=0.0)
-        events = gen_piecewise_sine(spec, seed=3)
-        sets = piecewise_sine_test_sets(spec, seed=3, n_per_task=20)
-        learner = _PerfectLearner([ev.y for ev in events], _gaussian_model())
-        rows = prequential_eval(learner, events, ("rmse",), test_sets=sets, test_every=5)
-        test_rows = [r for r in rows if r["metric"] == "test_rmse"]
-        assert len(test_rows) == 4  # every 5 steps over 20 events
-        assert {r["task_id"] for r in test_rows} == {0, 1}
-        # a learner echoing stream targets is not the task function, so
-        # test_rmse is positive; the plumbing just has to produce rows
-        assert all(np.isfinite(r["value"]) for r in test_rows)
-
 
 class TestBatchedScoring:
     """prequential_eval's after-the-loop scoring against the per-event scorer

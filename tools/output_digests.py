@@ -1,29 +1,42 @@
-"""Print the sha256 of every metric CSV the shipped configs write.
+"""Print the sha256 of every file the shipped configs' runs write.
 
     python3 tools/output_digests.py [--against DIR] [--src SRC]
 
-Runs ``demos/configs/sine.ini`` as shipped (``lrekf``), with
-``name = lrekf_spherical``, ``vdekf`` and ``fdekf``, under ``lrekf``
-with ``metrics = rmse nll nlpd``, under ``lrekf_spherical`` with
-``update = orth``, under ``ilrekf``, ``iekf`` and ``fcekf`` on a stream
-of 100 steps per task, under ``lrekf_spherical`` with ``metrics = rmse nll nlpd`` on that
-shorter stream (the sampler reads the spherical basis from the first
-event on, while its dead columns are being filled), and with
-``[model] activation = relu`` under ``lrekf`` and ``vdekf`` on it, and
-with each inflation variant (``bayesian``, ``hybrid``, ``simple``) at
-``inflation_alpha = 0.05`` under ``lrekf`` and ``lrekf_spherical`` on
-that shorter stream; ``demos/configs/bandit.ini``; and the benchmark's categorical
-``perfbench/configs/wide.ini`` (read, not changed). The other runs keep
-their shipped length. Each runs into its own temporary directory, and
-the script prints one ``sha256 path`` line per CSV written (``path``
+The runs:
+
+* ``demos/configs/sine.ini`` as shipped (``lrekf``) and with ``name =
+  lrekf_spherical``, ``vdekf`` and ``fdekf``; under ``lrekf`` with
+  ``metrics = rmse nll nlpd``; under ``lrekf_spherical`` with ``update =
+  orth``.
+* sine.ini on a stream of 100 steps per task: under ``ilrekf``, ``iekf``
+  and ``fcekf``; under ``lrekf_spherical`` with ``metrics = rmse nll
+  nlpd`` (the sampler reads the spherical basis from the first event on,
+  while its dead columns are being filled); with ``[model] activation =
+  relu`` under ``lrekf`` and ``vdekf``; with each inflation variant
+  (``bayesian``, ``hybrid``, ``simple``) at ``inflation_alpha = 0.05``
+  under ``lrekf`` and ``lrekf_spherical``.
+* ``demos/configs/bandit.ini`` and the benchmark's categorical
+  ``perfbench/configs/wide.ini`` (read, not changed).
+* ``cls-<method>``: the small categorical config of
+  ``tests/test_harness.py``'s
+  ``test_categorical_spherical_config_completes_every_seed`` (hidden 16,
+  rank 5, 400 steps, seeds 0-7, ``metrics = nll misclass``), built here
+  from wide.ini, under ``lrekf``, ``lrekf_spherical``, ``ilrekf``,
+  ``vdekf`` and ``fdekf`` (the last two without ``rank``: they are rank
+  0). Seeds that fail are recorded in ``failures.txt``, so a seed that
+  starts or stops failing moves a line.
+
+The other runs keep their shipped length. Each runs into its own
+temporary directory, and the script prints one ``sha256 path`` line per
+file written (each CSV, and ``failures.txt`` when a seed failed; ``path``
 relative to that run's output directory, prefixed by the run's name).
 BLAS is pinned to one thread before numpy loads, because some products
 round differently with more threads.
 
 The lrkf it imports is the ``src`` next to this script, so a copy of the
 script in a checkout of another commit digests that commit; ``--src``
-digests the lrkf in SRC instead (with this checkout's configs). Two
-commits that claim byte-identical outputs print identical lines.
+digests the lrkf in SRC instead (with this checkout's configs and runs).
+Two commits that claim byte-identical outputs print identical lines.
 
 ``--against DIR`` takes the root of another checkout of this repository
 and runs this script on its ``src`` in a second process, at the same time.
@@ -48,6 +61,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 SINE_METHODS = ("lrekf", "lrekf_spherical", "vdekf", "fdekf")
+CLS_METHODS = ("lrekf", "lrekf_spherical", "ilrekf", "vdekf", "fdekf")
 
 
 def runs(harness):
@@ -76,10 +90,19 @@ def runs(harness):
     yield "bandit", harness.run_bandit_experiment, bandit
     wide = harness.parse_config(str(ROOT / "perfbench/configs/wide.ini"))
     yield "wide", harness.run_experiment, wide
+    # the small categorical config of tests/test_harness.py's
+    # test_categorical_spherical_config_completes_every_seed
+    cls = replace(wide, seeds=list(range(8)), model={**wide.model, "hidden": [16]},
+                  stream={**wide.stream, "in_dim": 4, "num_classes": 3, "steps": 400},
+                  method_params={"initial_precision": 5.0, "process_noise": 1e-4})
+    for method in CLS_METHODS:
+        rank = {} if method in ("vdekf", "fdekf") else {"rank": 5}  # those two are rank 0
+        yield f"cls-{method}", harness.run_experiment, replace(
+            cls, method=method, method_params={**cls.method_params, **rank})
 
 
 def digests(src, echo):
-    """``{run/file: sha256}`` of every CSV the lrkf in ``src`` writes; each
+    """``{run/file: sha256}`` of every file the lrkf in ``src`` writes; each
     line is printed as it is made when ``echo`` is set."""
     sys.path.insert(0, str(src))
     from lrkf import harness
@@ -89,7 +112,7 @@ def digests(src, echo):
         for name, run, cfg in runs(harness):
             out = Path(tmp) / name
             run(replace(cfg, output=str(out)))
-            for path in sorted(out.glob("*.csv")):
+            for path in sorted(out.iterdir()):
                 key = f"{name}/{path.name}"
                 lines[key] = hashlib.sha256(path.read_bytes()).hexdigest()
                 if echo:
